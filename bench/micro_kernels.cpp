@@ -199,8 +199,9 @@ void BM_SpmmThenRelu(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmThenRelu);
 
-// CSR-over-im2col conv kernel (serve::CompiledNet's ConvOp hot loop):
-// one image's patch matrix against a masked [Cout, Cin·K·K] weight.
+// CSR-over-im2col conv kernel (the hot loop of the serve executor's CSR
+// op on a conv node): one image's patch matrix against a masked
+// [Cout, Cin·K·K] weight.
 void BM_CsrSpmmCols(benchmark::State& state) {
   const std::size_t in_ch = 64, out_ch = 128, k = 3, res = 16;
   const double density = static_cast<double>(state.range(0)) / 100.0;

@@ -10,7 +10,9 @@
 //              eval-BN → scale/shift, residual blocks → add+ReLU joins)
 //   passes     serve::Compiler's pipeline — ElideDropout, FoldBatchNorm,
 //              FreeAfterLastUse by default; PartitionRows on request
-//   bind()     Executor fixes weights + the runtime::IntraOp policy
+//   bind()     Executor fixes weights + the runtime::IntraOp policy;
+//              every CSR node becomes one row-range CSR op (a whole
+//              node is its full-range slice)
 //
 // CompiledNet wraps the bound Executor with model-level bookkeeping
 // (nnz/FLOPs/density, input validation data) so InferenceServer,

@@ -505,39 +505,12 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
   std::size_t i = 0;
   while (i < plan.ops.size()) {
     PlanOp& op = plan.ops[i];
-    if (op.kind == PlanOpKind::kSpmm || op.kind == PlanOpKind::kConv) {
-      ++out.total_weight_nodes;
-      const std::size_t s = op.sparse_ordinal;
-      if (s == PlanOp::kNoOrdinal || s >= sites.size()) {
-        out.needs_full_recompile = true;
-        break;
-      }
-      const bool refold =
-          op.folded_bn &&
-          (op.bn_ordinal >= mods.bns.size() || bn_touched[op.bn_ordinal] != 0);
-      if (sites[s].touched || refold) {
-        RebuiltWeights r = rebuild(s, op.folded_bn, op.bn_ordinal);
-        if (op.qcsr != nullptr) {
-          // A quantized node stays quantized across a patch: re-quantize
-          // the rebuilt fp32 weights, exactly what a full recompile with
-          // the same pipeline (… , quantize:int8) would produce.
-          op.qcsr = std::make_shared<sparse::QCsrMatrix>(
-              sparse::QCsrMatrix::quantize(*r.csr));
-        } else {
-          op.csr = std::move(r.csr);
-        }
-        op.bias = std::move(r.bias);
-        op.has_bias = r.has_bias;
-        ++out.patched_weight_nodes;
-      }
-      ++i;
-      continue;
-    }
-    if (op.kind == PlanOpKind::kRowSlice) {
-      // One PartitionRows group = one weight unit: consecutive slices
-      // sharing a partition_group (and their common source matrix).
-      std::size_t j = i;
-      while (j < plan.ops.size() &&
+    if (op.kind == PlanOpKind::kSpmm || op.kind == PlanOpKind::kConv ||
+        op.kind == PlanOpKind::kRowSlice) {
+      // One weight unit: the consecutive slices of one PartitionRows group
+      // (sharing their source matrix), or a whole node — a unit of one.
+      std::size_t j = i + 1;
+      while (op.kind == PlanOpKind::kRowSlice && j < plan.ops.size() &&
              plan.ops[j].kind == PlanOpKind::kRowSlice &&
              plan.ops[j].partition_group == op.partition_group) {
         ++j;
@@ -555,34 +528,39 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
       if (sites[s].touched || refold) {
         RebuiltWeights r = rebuild(s, op.folded_bn, op.bn_ordinal);
         // Re-split against the rebuilt matrix, exactly as PartitionRows
-        // would on a full recompile with the same `ways` (the quantized
-        // split is identical — quantization preserves the sparsity
-        // pattern, and the splits balance stored-nonzero counts).
+        // would on a full recompile with the same `ways` ({0, rows} for a
+        // whole node). The quantized split is identical: quantization
+        // preserves the sparsity pattern, and the splits balance
+        // stored-nonzero counts.
         const std::vector<std::size_t> bounds =
             r.csr->balanced_row_splits(count);
-        // A quantized group re-quantizes the rebuilt parent ONCE and
-        // every slice shares it, mirroring QuantizeWeights' memoization.
+        // A quantized node stays quantized across a patch: the rebuilt
+        // parent is re-quantized ONCE and every slice shares it — exactly
+        // what a full recompile with the same pipeline (…, quantize:int8)
+        // would produce.
         std::shared_ptr<sparse::QCsrMatrix> q;
         if (op.qcsr != nullptr) {
           q = std::make_shared<sparse::QCsrMatrix>(
               sparse::QCsrMatrix::quantize(*r.csr));
         }
         for (std::size_t k = 0; k < count; ++k) {
-          PlanOp& slice = plan.ops[i + k];
+          PlanOp& unit = plan.ops[i + k];
           if (q != nullptr) {
-            slice.qcsr = q;  // all slices view the one rebuilt matrix
+            unit.qcsr = q;
           } else {
-            slice.csr = r.csr;
+            unit.csr = r.csr;
           }
-          slice.row_begin = bounds[k];
-          slice.row_end = bounds[k + 1];
-          slice.has_bias = r.has_bias;
+          if (unit.kind == PlanOpKind::kRowSlice) {
+            unit.row_begin = bounds[k];
+            unit.row_end = bounds[k + 1];
+          }
+          unit.has_bias = r.has_bias;
+          unit.bias = tensor::Tensor();
           if (r.has_bias) {
-            tensor::Tensor b({bounds[k + 1] - bounds[k]});
+            unit.bias = tensor::Tensor({bounds[k + 1] - bounds[k]});
             for (std::size_t row = bounds[k]; row < bounds[k + 1]; ++row) {
-              b[row - bounds[k]] = r.bias[row];
+              unit.bias[row - bounds[k]] = r.bias[row];
             }
-            slice.bias = std::move(b);
           }
         }
         ++out.patched_weight_nodes;

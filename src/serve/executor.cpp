@@ -61,162 +61,6 @@ tensor::Tensor EvalOp::run_many(
 
 namespace {
 
-const char* act_name(ActKind act) {
-  switch (act) {
-    case ActKind::kRelu:
-      return "relu";
-    case ActKind::kLeakyRelu:
-      return "leaky_relu";
-    case ActKind::kSigmoid:
-      return "sigmoid";
-    case ActKind::kTanh:
-      return "tanh";
-  }
-  return "?";
-}
-
-/// Common state of the CSR-backed ops: shared weights, bias, the
-/// folded-BN marker, and the FuseEpilogue annotation the op lowers into
-/// a kernels::Epilogue (folding and fusion both happen at the plan
-/// level, before binding — see serve::FoldBatchNorm / serve::FuseEpilogue).
-///
-/// Templated over the weight type: M is sparse::CsrMatrix (fp32) or
-/// sparse::QCsrMatrix (int8 + per-row scales, from QuantizeWeights). The
-/// two expose the same kernel surface, so one op body serves both; FLOPs
-/// stay nnz-based either way (an int8 multiply-accumulate counts like an
-/// fp32 one — quantization moves bytes, not operation counts). The op
-/// also pins the kernel backend chosen at bind time (nullptr = defer
-/// each call to the process-wide active backend).
-template <typename M>
-class CsrOp : public EvalOp {
- public:
-  static constexpr bool kQuantized =
-      std::is_same_v<M, sparse::QCsrMatrix>;
-
-  CsrOp(std::shared_ptr<const M> csr, tensor::Tensor bias, bool has_bias,
-        bool folded_bn, PlanEpilogue pe,
-        const kernels::simd::KernelBackend* backend)
-      : csr_(std::move(csr)),
-        bias_(std::move(bias)),
-        has_bias_(has_bias),
-        folded_bn_(folded_bn),
-        pe_(pe),
-        backend_(backend) {}
-
-  const M& csr() const { return *csr_; }
-
-  /// A residual-fused CSR op consumes the residual as its second input.
-  std::size_t arity() const override { return pe_.add_residual ? 2 : 1; }
-
- protected:
-  /// The kernels::Epilogue for this op: bias plus the fused annotation,
-  /// with the residual pointer/stride supplied per call (layout is
-  /// kernel-specific — see the kernel doc comments).
-  kernels::Epilogue make_ep(const float* residual,
-                            std::size_t residual_stride) const {
-    kernels::Epilogue ep;
-    if (has_bias_) ep.bias = bias_.raw();
-    ep.residual = residual;
-    ep.residual_stride = residual_stride;
-    ep.has_act = pe_.has_act;
-    ep.act = pe_.act;
-    ep.slope = pe_.slope;
-    return ep;
-  }
-
-  /// FLOPs the fused epilogue adds on top of the sparse product — one op
-  /// per output element per fused stage, mirroring Plan::annotate.
-  double ep_flops(double out_elems) const {
-    double per_elem = 0.0;
-    if (pe_.add_residual) per_elem += 1.0;
-    if (pe_.has_act) per_elem += 1.0;
-    return per_elem * out_elems;
-  }
-
-  std::string fused_suffix() const {
-    if (pe_.empty()) return "";
-    std::string out = ", fused(";
-    if (pe_.add_residual) out += "add";
-    if (pe_.has_act) {
-      if (pe_.add_residual) out += "+";
-      out += act_name(pe_.act);
-    }
-    return out + ")";
-  }
-
-  std::string csr_suffix() const {
-    return "nnz=" + std::to_string(csr_->nnz()) + ", density=" +
-           util::format_fixed(csr_->density() * 100.0, 1) + "%" +
-           (kQuantized ? ", int8" : "") + (folded_bn_ ? ", +bn" : "") +
-           fused_suffix() + ")";
-  }
-
-  std::shared_ptr<const M> csr_;
-  tensor::Tensor bias_;
-  bool has_bias_;
-  bool folded_bn_;
-  PlanEpilogue pe_;
-  const kernels::simd::KernelBackend* backend_;
-};
-
-/// CSR Linear: y = act(spmm(x) + bias + residual) — bias and the fused
-/// epilogue are applied inside the SpMM output loop.
-template <typename M>
-class SpmmOp final : public CsrOp<M> {
-  using Base = CsrOp<M>;
-  using Base::backend_;
-  using Base::csr_;
-
- public:
-  SpmmOp(std::shared_ptr<const M> csr, tensor::Tensor bias, bool has_bias,
-         bool folded_bn, PlanEpilogue pe, runtime::IntraOp intra,
-         const kernels::simd::KernelBackend* backend)
-      : Base(std::move(csr), std::move(bias), has_bias, folded_bn, pe,
-             backend),
-        intra_(intra) {}
-
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    auto copy = std::make_unique<SpmmOp>(*this);
-    copy->csr_ = ctx.dup(csr_);
-    return copy;
-  }
-
-  tensor::Tensor run(const tensor::Tensor& x) const override {
-    return csr_->spmm(x, intra_, this->make_ep(nullptr, 0), backend_);
-  }
-
-  tensor::Tensor run2(const tensor::Tensor& x,
-                      const tensor::Tensor& residual) const override {
-    util::check(residual.rank() == 2 && residual.dim(0) == x.dim(0) &&
-                    residual.dim(1) == csr_->rows(),
-                "fused spmm residual shape mismatch");
-    return csr_->spmm(x, intra_,
-                      this->make_ep(residual.raw(), csr_->rows()), backend_);
-  }
-
-  std::string describe() const override {
-    return "spmm(" + std::to_string(csr_->rows()) + "x" +
-           std::to_string(csr_->cols()) + ", " + this->csr_suffix();
-  }
-
-  tensor::Shape out_shape(const tensor::Shape& in) const override {
-    return tensor::Shape({in.dim(0), csr_->rows()});
-  }
-
-  double flops(const tensor::Shape& in) const override {
-    return sparse::linear_nnz_flops(csr_->nnz(), in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) * csr_->rows()));
-  }
-
-  double dense_flops(const tensor::Shape& in) const override {
-    return sparse::linear_nnz_flops(csr_->rows() * csr_->cols(), in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) * csr_->rows()));
-  }
-
- private:
-  runtime::IntraOp intra_;
-};
-
 /// Conv geometry shared by the conv-shaped ops.
 tensor::ConvGeometry conv_geometry_for(std::size_t in_channels,
                                        std::size_t kernel, std::size_t stride,
@@ -237,35 +81,68 @@ tensor::ConvGeometry conv_geometry_for(std::size_t in_channels,
   return g;
 }
 
-/// CSR conv: per-image im2col, then Y = W_csr · cols over the patch
-/// matrix, with optional folded BN and bias. The CSR matrix holds the
-/// masked weight viewed as [Cout, Cin·K·K] — the exact lowering
-/// nn::Conv2d uses densely, so a masked checkpoint deploys its trained
-/// topology bit-for-bit.
+/// The one CSR op: output rows [row_begin, row_end) of a CSR weight
+/// matrix, finished in the kernel's output loop by the bias and the
+/// FuseEpilogue annotation (folding and fusion both happen at the plan
+/// level, before binding — see serve::FoldBatchNorm / serve::FuseEpilogue).
+///
+/// A whole kSpmm/kConv node is the full range [0, rows); a kRowSlice of
+/// a PartitionRows group is a sub-range viewing the shared parent
+/// zero-copy, with its bias sliced at the plan level. The input layout is
+/// fixed at bind time from the plan node:
+///   kFeatures  [N, cols]: kSpmm, or a linear kRowSlice.
+///   kImage     [N, Cin, H, W]: kConv. Each image is lowered into
+///              per-chunk im2col scratch, the batch split across the
+///              bound IntraOp. The CSR matrix is the masked weight viewed
+///              as [Cout, Cin·K·K] — the lowering nn::Conv2d uses densely,
+///              so a masked checkpoint deploys its topology bit-for-bit.
+///   kPatches   [N, Cin·K·K, OH, OW]: a conv kRowSlice over the kIm2col
+///              patch buffer its group shares (patches computed once).
+/// A fused residual always has the FULL output shape (every row of the
+/// matrix); the op adds its own row range of it.
+///
+/// Templated over the weight type: M is sparse::CsrMatrix (fp32) or
+/// sparse::QCsrMatrix (int8 + per-row scales, from QuantizeWeights). The
+/// two expose the same kernel surface, so one op body serves both; FLOPs
+/// stay nnz-based either way (quantization moves bytes, not operation
+/// counts). The op also pins the kernel backend chosen at bind time
+/// (nullptr = defer each call to the process-wide active backend).
 template <typename M>
-class ConvOp final : public CsrOp<M> {
-  using Base = CsrOp<M>;
-  using Base::backend_;
-  using Base::csr_;
-
+class CsrOp final : public EvalOp {
  public:
-  ConvOp(std::shared_ptr<const M> csr, std::size_t in_channels,
-         std::size_t kernel, std::size_t stride, std::size_t padding,
-         tensor::Tensor bias, bool has_bias, bool folded_bn, PlanEpilogue pe,
-         runtime::IntraOp intra, const kernels::simd::KernelBackend* backend)
-      : Base(std::move(csr), std::move(bias), has_bias, folded_bn, pe,
-             backend),
-        in_channels_(in_channels),
-        kernel_(kernel),
-        stride_(stride),
-        padding_(padding),
-        intra_(intra) {}
+  static constexpr bool kQuantized = std::is_same_v<M, sparse::QCsrMatrix>;
+
+  CsrOp(std::shared_ptr<const M> csr, PlanOp& op,
+        const runtime::IntraOp& intra,
+        const kernels::simd::KernelBackend* backend)
+      : csr_(std::move(csr)),
+        row_begin_(op.kind == PlanOpKind::kRowSlice ? op.row_begin : 0),
+        row_end_(op.kind == PlanOpKind::kRowSlice ? op.row_end
+                                                  : csr_->rows()),
+        layout_(op.kind == PlanOpKind::kConv ? Layout::kImage
+                : op.conv_slice              ? Layout::kPatches
+                                             : Layout::kFeatures),
+        in_channels_(op.in_channels),
+        kernel_(op.kernel),
+        stride_(op.stride),
+        padding_(op.padding),
+        bias_(std::move(op.bias)),
+        has_bias_(op.has_bias),
+        folded_bn_(op.folded_bn),
+        pe_(op.epilogue),
+        // Slices run their kernels inline: the partition group fan-out IS
+        // the parallelism.
+        intra_(op.kind == PlanOpKind::kRowSlice ? runtime::IntraOp{} : intra),
+        backend_(backend) {}
 
   std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    auto copy = std::make_unique<ConvOp>(*this);
+    auto copy = std::make_unique<CsrOp>(*this);
     copy->csr_ = ctx.dup(csr_);
     return copy;
   }
+
+  /// A residual-fused CSR op consumes the residual as its second input.
+  std::size_t arity() const override { return pe_.add_residual ? 2 : 1; }
 
   tensor::Tensor run(const tensor::Tensor& x) const override {
     return run_impl(x, nullptr);
@@ -273,89 +150,187 @@ class ConvOp final : public CsrOp<M> {
 
   tensor::Tensor run2(const tensor::Tensor& x,
                       const tensor::Tensor& residual) const override {
-    util::check(residual.rank() == 4 && residual.dim(0) == x.dim(0) &&
-                    residual.dim(1) == csr_->rows(),
-                "fused spconv residual shape mismatch");
-    return run_impl(x, residual.raw());
+    return run_impl(x, &residual);
   }
 
   std::string describe() const override {
-    return "spconv(" + std::to_string(in_channels_) + "->" +
-           std::to_string(csr_->rows()) + ", k" + std::to_string(kernel_) +
-           ", s" + std::to_string(stride_) + ", p" +
-           std::to_string(padding_) + ", " + this->csr_suffix();
+    const bool whole = row_begin_ == 0 && row_end_ == csr_->rows();
+    const auto slice = csr_->row_slice(row_begin_, row_end_);
+    std::string out;
+    if (layout_ == Layout::kImage) {
+      out = "spconv(" + std::to_string(in_channels_) + "->" +
+            std::to_string(csr_->rows()) + ", k" + std::to_string(kernel_) +
+            ", s" + std::to_string(stride_) + ", p" +
+            std::to_string(padding_) + ", ";
+    } else if (whole && layout_ == Layout::kFeatures) {
+      out = "spmm(" + std::to_string(csr_->rows()) + "x" +
+            std::to_string(csr_->cols()) + ", ";
+    } else {
+      out = "row_slice(" + std::to_string(row_begin_) + ":" +
+            std::to_string(row_end_) + " of " +
+            std::to_string(csr_->rows()) + ", ";
+      if (layout_ == Layout::kPatches) out += "conv, ";
+    }
+    out += "nnz=" + std::to_string(slice.nnz());
+    if (whole && layout_ != Layout::kPatches) {
+      out += ", density=" + util::format_fixed(csr_->density() * 100.0, 1) +
+             "%";
+    }
+    if (kQuantized) out += ", int8";
+    if (folded_bn_) out += ", +bn";
+    append_fused(out, pe_);
+    return out + ")";
   }
 
   tensor::Shape out_shape(const tensor::Shape& in) const override {
-    const tensor::ConvGeometry g = conv_geometry_for(
-        in_channels_, kernel_, stride_, padding_, in.dim(2), in.dim(3));
-    return tensor::Shape({in.dim(0), csr_->rows(), g.out_h(), g.out_w()});
+    return shape_for(in, row_end_ - row_begin_);
   }
 
   double flops(const tensor::Shape& in) const override {
-    const tensor::ConvGeometry g = conv_geometry_for(
-        in_channels_, kernel_, stride_, padding_, in.dim(2), in.dim(3));
-    return sparse::conv_nnz_flops(csr_->nnz(), g.out_h(), g.out_w(),
-                                  in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) * csr_->rows() *
-                                              g.out_h() * g.out_w()));
+    return cost(in, csr_->row_slice(row_begin_, row_end_).nnz());
   }
 
   double dense_flops(const tensor::Shape& in) const override {
-    const tensor::ConvGeometry g = conv_geometry_for(
-        in_channels_, kernel_, stride_, padding_, in.dim(2), in.dim(3));
-    return sparse::conv_nnz_flops(csr_->rows() * csr_->cols(), g.out_h(),
-                                  g.out_w(), in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) * csr_->rows() *
-                                              g.out_h() * g.out_w()));
+    return cost(in, (row_end_ - row_begin_) * csr_->cols());
   }
 
  private:
-  tensor::Tensor run_impl(const tensor::Tensor& x,
-                          const float* res_base) const {
-    const tensor::ConvGeometry g = geometry(x);
-    const std::size_t batch = x.dim(0);
-    const std::size_t oh = g.out_h(), ow = g.out_w();
-    const std::size_t out_ch = csr_->rows();
-    tensor::Tensor y({batch, out_ch, oh, ow});
-    const std::size_t image_elems = in_channels_ * g.in_h * g.in_w;
-    const std::size_t out_image_elems = out_ch * oh * ow;
+  enum class Layout { kFeatures, kImage, kPatches };
 
-    // Intra-op parallelism splits the batch on the persistent runtime
-    // pool: images are independent, so every output element has exactly
-    // one writer and the result is bit-identical for any chunk count.
-    // Per-chunk im2col scratch keeps run() const and thread-safe. A
-    // single image always runs inline (PartitionRows is the row-level
-    // alternative for batch-1 latency). Bias and the fused epilogue are
-    // applied by the kernel's per-row finish pass; the residual (laid
-    // out like y) advances per image.
-    runtime::intra_chunks(intra_, batch, [&](std::size_t n0,
-                                             std::size_t n1) {
-      tensor::Tensor cols({g.patch_size(), oh * ow});
+  /// Output shape for input shape `in` with `rows` output rows (channels).
+  tensor::Shape shape_for(const tensor::Shape& in, std::size_t rows) const {
+    switch (layout_) {
+      case Layout::kFeatures:
+        return tensor::Shape({in.dim(0), rows});
+      case Layout::kImage: {
+        const tensor::ConvGeometry g = conv_geometry_for(
+            in_channels_, kernel_, stride_, padding_, in.dim(2), in.dim(3));
+        return tensor::Shape({in.dim(0), rows, g.out_h(), g.out_w()});
+      }
+      case Layout::kPatches:
+        return tensor::Shape({in.dim(0), rows, in.dim(2), in.dim(3)});
+    }
+    util::fail("unreachable CSR op layout");
+  }
+
+  /// FLOPs of `weights` multiply-accumulates per output position (one
+  /// per sample for features), plus one op per output element for each
+  /// fused epilogue stage — mirroring Plan::annotate.
+  double cost(const tensor::Shape& in, std::size_t weights) const {
+    const tensor::Shape out = out_shape(in);
+    const bool spatial = out.rank() == 4;
+    double ep_per_elem = 0.0;
+    if (pe_.add_residual) ep_per_elem += 1.0;
+    if (pe_.has_act) ep_per_elem += 1.0;
+    return sparse::conv_nnz_flops(weights, spatial ? out.dim(2) : 1,
+                                  spatial ? out.dim(3) : 1, out.dim(0)) +
+           ep_per_elem * static_cast<double>(out.numel());
+  }
+
+  kernels::Epilogue make_ep(const float* residual,
+                            std::size_t residual_stride) const {
+    kernels::Epilogue ep;
+    if (has_bias_) ep.bias = bias_.raw();
+    ep.residual = residual;
+    ep.residual_stride = residual_stride;
+    ep.has_act = pe_.has_act;
+    ep.act = pe_.act;
+    ep.slope = pe_.slope;
+    return ep;
+  }
+
+  tensor::Tensor run_impl(const tensor::Tensor& x,
+                          const tensor::Tensor* residual) const {
+    // Request tensors come from outside the program: check the input
+    // layout and the whole residual shape before any kernel reads them.
+    switch (layout_) {
+      case Layout::kFeatures:
+        util::check(x.rank() == 2 && x.dim(1) == csr_->cols(),
+                    "spmm expects [N, " + std::to_string(csr_->cols()) +
+                        "], got " + x.shape().to_string());
+        break;
+      case Layout::kImage:
+        util::check(x.rank() == 4 && x.dim(1) == in_channels_,
+                    "spconv expects [N, " + std::to_string(in_channels_) +
+                        ", H, W], got " + x.shape().to_string());
+        break;
+      case Layout::kPatches:
+        util::check(x.rank() == 4 && x.dim(1) == csr_->cols(),
+                    "conv row_slice expects the [N, Cin*K*K, OH, OW] patch "
+                    "buffer, got " +
+                        x.shape().to_string());
+        break;
+    }
+    const float* res = nullptr;
+    if (residual != nullptr) {
+      const tensor::Shape full = shape_for(x.shape(), csr_->rows());
+      util::check(residual->shape() == full,
+                  "fused residual shape mismatch: expected " +
+                      full.to_string() + ", got " +
+                      residual->shape().to_string());
+      res = residual->raw();
+    }
+    const auto slice = csr_->row_slice(row_begin_, row_end_);
+    if (layout_ == Layout::kFeatures) {
+      // Pre-offset the residual to this row range; its per-sample stride
+      // stays the full output width.
+      return slice.spmm(
+          x, intra_,
+          make_ep(res != nullptr ? res + row_begin_ : nullptr,
+                  res != nullptr ? csr_->rows() : 0),
+          backend_);
+    }
+    tensor::Tensor y(shape_for(x.shape(), slice.rows()));
+    const std::size_t batch = x.dim(0);
+    const std::size_t positions = y.dim(2) * y.dim(3);
+    const std::size_t in_elems = x.dim(1) * x.dim(2) * x.dim(3);
+    // Images are independent, so splitting the batch gives every output
+    // element exactly one writer and the result is bit-identical for any
+    // chunk count. A single image always runs inline (PartitionRows is
+    // the row-level alternative for batch-1 latency).
+    runtime::intra_chunks(intra_, batch, [&](std::size_t n0, std::size_t n1) {
+      // kImage lowers each image into one per-chunk scratch (keeping
+      // run() const and thread-safe); kPatches reads the shared buffer.
+      std::vector<float> scratch;
+      tensor::ConvGeometry g;
+      if (layout_ == Layout::kImage) {
+        g = conv_geometry_for(in_channels_, kernel_, stride_, padding_,
+                              x.dim(2), x.dim(3));
+        scratch.resize(g.patch_size() * positions);
+      }
       for (std::size_t n = n0; n < n1; ++n) {
-        tensor::im2col(x.raw() + n * image_elems, g, cols);
-        const float* res =
-            res_base != nullptr ? res_base + n * out_image_elems : nullptr;
-        csr_->spmm_cols_into(cols, y.raw() + n * out_image_elems,
-                             this->make_ep(res, 0), backend_);
+        const float* patches = x.raw() + n * in_elems;
+        if (layout_ == Layout::kImage) {
+          tensor::im2col(patches, g, scratch.data());
+          patches = scratch.data();
+        }
+        // This row range's channel block of the sample's full residual.
+        const float* r =
+            res != nullptr
+                ? res + (n * csr_->rows() + row_begin_) * positions
+                : nullptr;
+        slice.spmm_cols_into(patches, positions,
+                             y.raw() + n * slice.rows() * positions,
+                             make_ep(r, 0), backend_);
       }
     });
     return y;
   }
 
-  tensor::ConvGeometry geometry(const tensor::Tensor& x) const {
-    util::check(x.rank() == 4 && x.dim(1) == in_channels_,
-                "spconv expects [N, " + std::to_string(in_channels_) +
-                    ", H, W], got " + x.shape().to_string());
-    return conv_geometry_for(in_channels_, kernel_, stride_, padding_,
-                             x.dim(2), x.dim(3));
-  }
-
+  std::shared_ptr<const M> csr_;
+  std::size_t row_begin_;
+  std::size_t row_end_;
+  Layout layout_;
   std::size_t in_channels_;
   std::size_t kernel_;
   std::size_t stride_;
   std::size_t padding_;
+  tensor::Tensor bias_;
+  bool has_bias_;
+  bool folded_bn_;
+  PlanEpilogue pe_;
   runtime::IntraOp intra_;
+  const kernels::simd::KernelBackend* backend_;
 };
 
 /// Materialized im2col: [N, C, H, W] → the patch buffer [N, Cin·K·K,
@@ -419,189 +394,6 @@ class Im2colOp final : public EvalOp {
   std::size_t stride_;
   std::size_t padding_;
   runtime::IntraOp intra_;
-};
-
-/// Rows [row_begin, row_end) of a partitioned CSR linear: the slice view
-/// is zero-copy over the shared parent matrix; the bias was sliced at the
-/// plan level. Slice kernels run inline — the partition group fan-out IS
-/// the parallelism.
-template <typename M>
-class RowSliceSpmmOp final : public CsrOp<M> {
-  using Base = CsrOp<M>;
-  using Base::backend_;
-  using Base::csr_;
-  using Base::folded_bn_;
-
- public:
-  RowSliceSpmmOp(std::shared_ptr<const M> csr, std::size_t row_begin,
-                 std::size_t row_end, tensor::Tensor bias, bool has_bias,
-                 bool folded_bn, PlanEpilogue pe,
-                 const kernels::simd::KernelBackend* backend)
-      : Base(std::move(csr), std::move(bias), has_bias, folded_bn, pe,
-             backend),
-        row_begin_(row_begin),
-        row_end_(row_end) {}
-
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    auto copy = std::make_unique<RowSliceSpmmOp>(*this);
-    copy->csr_ = ctx.dup(csr_);
-    return copy;
-  }
-
-  tensor::Tensor run(const tensor::Tensor& x) const override {
-    return csr_->row_slice(row_begin_, row_end_)
-        .spmm(x, {}, this->make_ep(nullptr, 0), backend_);
-  }
-
-  tensor::Tensor run2(const tensor::Tensor& x,
-                      const tensor::Tensor& residual) const override {
-    // The residual edge produces the FULL output width; this slice adds
-    // its own row range — pre-offset the pointer by row_begin and keep
-    // the per-sample stride at the parent's row count.
-    util::check(residual.rank() == 2 && residual.dim(0) == x.dim(0) &&
-                    residual.dim(1) == csr_->rows(),
-                "fused row_slice residual shape mismatch");
-    return csr_->row_slice(row_begin_, row_end_)
-        .spmm(x, {},
-              this->make_ep(residual.raw() + row_begin_, csr_->rows()),
-              backend_);
-  }
-
-  std::string describe() const override {
-    return "row_slice(" + std::to_string(row_begin_) + ":" +
-           std::to_string(row_end_) + " of " + std::to_string(csr_->rows()) +
-           ", " +
-           "nnz=" +
-           std::to_string(csr_->row_slice(row_begin_, row_end_).nnz()) +
-           (Base::kQuantized ? ", int8" : "") + (folded_bn_ ? ", +bn" : "") +
-           this->fused_suffix() + ")";
-  }
-
-  tensor::Shape out_shape(const tensor::Shape& in) const override {
-    return tensor::Shape({in.dim(0), row_end_ - row_begin_});
-  }
-
-  double flops(const tensor::Shape& in) const override {
-    return sparse::linear_nnz_flops(
-               csr_->row_slice(row_begin_, row_end_).nnz(), in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) *
-                                              (row_end_ - row_begin_)));
-  }
-
-  double dense_flops(const tensor::Shape& in) const override {
-    return sparse::linear_nnz_flops(
-               (row_end_ - row_begin_) * csr_->cols(), in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) *
-                                              (row_end_ - row_begin_)));
-  }
-
- private:
-  std::size_t row_begin_;
-  std::size_t row_end_;
-};
-
-/// Output channels [row_begin, row_end) of a partitioned conv, reading
-/// the shared Im2colOp patch buffer [N, P, OH, OW] — the patches are
-/// computed once and every slice streams them.
-template <typename M>
-class RowSliceConvOp final : public CsrOp<M> {
-  using Base = CsrOp<M>;
-  using Base::backend_;
-  using Base::csr_;
-  using Base::folded_bn_;
-
- public:
-  RowSliceConvOp(std::shared_ptr<const M> csr, std::size_t row_begin,
-                 std::size_t row_end, tensor::Tensor bias, bool has_bias,
-                 bool folded_bn, PlanEpilogue pe,
-                 const kernels::simd::KernelBackend* backend)
-      : Base(std::move(csr), std::move(bias), has_bias, folded_bn, pe,
-             backend),
-        row_begin_(row_begin),
-        row_end_(row_end) {}
-
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    auto copy = std::make_unique<RowSliceConvOp>(*this);
-    copy->csr_ = ctx.dup(csr_);
-    return copy;
-  }
-
-  tensor::Tensor run(const tensor::Tensor& x) const override {
-    return run_impl(x, nullptr, 0);
-  }
-
-  tensor::Tensor run2(const tensor::Tensor& x,
-                      const tensor::Tensor& residual) const override {
-    // The residual edge produces the full [N, Cout, OH, OW] map; this
-    // slice adds channels [row_begin, row_end) of it.
-    util::check(residual.rank() == 4 && residual.dim(0) == x.dim(0) &&
-                    residual.dim(1) == csr_->rows() &&
-                    residual.dim(2) == x.dim(2) &&
-                    residual.dim(3) == x.dim(3),
-                "fused conv row_slice residual shape mismatch");
-    return run_impl(x, residual.raw(), csr_->rows());
-  }
-
-  std::string describe() const override {
-    return "row_slice(" + std::to_string(row_begin_) + ":" +
-           std::to_string(row_end_) + " of " + std::to_string(csr_->rows()) +
-           ", conv, nnz=" +
-           std::to_string(csr_->row_slice(row_begin_, row_end_).nnz()) +
-           (Base::kQuantized ? ", int8" : "") + (folded_bn_ ? ", +bn" : "") +
-           this->fused_suffix() + ")";
-  }
-
-  tensor::Shape out_shape(const tensor::Shape& in) const override {
-    return tensor::Shape(
-        {in.dim(0), row_end_ - row_begin_, in.dim(2), in.dim(3)});
-  }
-
-  double flops(const tensor::Shape& in) const override {
-    return sparse::conv_nnz_flops(
-               csr_->row_slice(row_begin_, row_end_).nnz(), in.dim(2),
-               in.dim(3), in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) *
-                                              (row_end_ - row_begin_) *
-                                              in.dim(2) * in.dim(3)));
-  }
-
-  double dense_flops(const tensor::Shape& in) const override {
-    return sparse::conv_nnz_flops((row_end_ - row_begin_) * csr_->cols(),
-                                  in.dim(2), in.dim(3), in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) *
-                                              (row_end_ - row_begin_) *
-                                              in.dim(2) * in.dim(3)));
-  }
-
- private:
-  tensor::Tensor run_impl(const tensor::Tensor& x, const float* res_base,
-                          std::size_t ch_total) const {
-    util::check(x.rank() == 4 && x.dim(1) == csr_->cols(),
-                "conv row_slice expects the [N, Cin*K*K, OH, OW] patch "
-                "buffer, got " +
-                    x.shape().to_string());
-    const auto slice = csr_->row_slice(row_begin_, row_end_);
-    const std::size_t batch = x.dim(0);
-    const std::size_t oh = x.dim(2), ow = x.dim(3);
-    const std::size_t positions = oh * ow;
-    const std::size_t patch = csr_->cols();
-    tensor::Tensor y({batch, slice.rows(), oh, ow});
-    for (std::size_t n = 0; n < batch; ++n) {
-      // The per-sample residual pointer addresses this slice's channel
-      // block of the full residual map.
-      const float* res =
-          res_base != nullptr
-              ? res_base + (n * ch_total + row_begin_) * positions
-              : nullptr;
-      slice.spmm_cols_into(x.raw() + n * patch * positions, positions,
-                           y.raw() + n * slice.rows() * positions,
-                           this->make_ep(res, 0), backend_);
-    }
-    return y;
-  }
-
-  std::size_t row_begin_;
-  std::size_t row_end_;
 };
 
 /// Joins partition slices along axis 1 (features / channels): the slices
@@ -771,7 +563,7 @@ class ActivationOp final : public EvalOp {
     return kernels::apply_epilogue(x, ep, intra_, backend_);
   }
 
-  std::string describe() const override { return act_name(kind_); }
+  std::string describe() const override { return to_string(kind_); }
 
  private:
   ActKind kind_;
@@ -901,48 +693,17 @@ std::unique_ptr<EvalOp> bind_op(PlanOp& op, const runtime::IntraOp& intra,
                                 const kernels::simd::KernelBackend* backend) {
   switch (op.kind) {
     case PlanOpKind::kSpmm:
-      if (op.qcsr != nullptr) {
-        return std::make_unique<SpmmOp<sparse::QCsrMatrix>>(
-            std::move(op.qcsr), std::move(op.bias), op.has_bias,
-            op.folded_bn, op.epilogue, intra, backend);
-      }
-      return std::make_unique<SpmmOp<sparse::CsrMatrix>>(
-          std::move(op.csr), std::move(op.bias), op.has_bias, op.folded_bn,
-          op.epilogue, intra, backend);
     case PlanOpKind::kConv:
+    case PlanOpKind::kRowSlice:
       if (op.qcsr != nullptr) {
-        return std::make_unique<ConvOp<sparse::QCsrMatrix>>(
-            std::move(op.qcsr), op.in_channels, op.kernel, op.stride,
-            op.padding, std::move(op.bias), op.has_bias, op.folded_bn,
-            op.epilogue, intra, backend);
+        return std::make_unique<CsrOp<sparse::QCsrMatrix>>(
+            std::move(op.qcsr), op, intra, backend);
       }
-      return std::make_unique<ConvOp<sparse::CsrMatrix>>(
-          std::move(op.csr), op.in_channels, op.kernel, op.stride,
-          op.padding, std::move(op.bias), op.has_bias, op.folded_bn,
-          op.epilogue, intra, backend);
+      return std::make_unique<CsrOp<sparse::CsrMatrix>>(std::move(op.csr), op,
+                                                        intra, backend);
     case PlanOpKind::kIm2col:
       return std::make_unique<Im2colOp>(op.in_channels, op.kernel, op.stride,
                                         op.padding, intra);
-    case PlanOpKind::kRowSlice:
-      if (op.conv_slice) {
-        if (op.qcsr != nullptr) {
-          return std::make_unique<RowSliceConvOp<sparse::QCsrMatrix>>(
-              std::move(op.qcsr), op.row_begin, op.row_end,
-              std::move(op.bias), op.has_bias, op.folded_bn, op.epilogue,
-              backend);
-        }
-        return std::make_unique<RowSliceConvOp<sparse::CsrMatrix>>(
-            std::move(op.csr), op.row_begin, op.row_end, std::move(op.bias),
-            op.has_bias, op.folded_bn, op.epilogue, backend);
-      }
-      if (op.qcsr != nullptr) {
-        return std::make_unique<RowSliceSpmmOp<sparse::QCsrMatrix>>(
-            std::move(op.qcsr), op.row_begin, op.row_end, std::move(op.bias),
-            op.has_bias, op.folded_bn, op.epilogue, backend);
-      }
-      return std::make_unique<RowSliceSpmmOp<sparse::CsrMatrix>>(
-          std::move(op.csr), op.row_begin, op.row_end, std::move(op.bias),
-          op.has_bias, op.folded_bn, op.epilogue, backend);
     case PlanOpKind::kConcatChannels: {
       // Total channels = sum of slice row counts, known statically.
       return std::make_unique<ConcatChannelsOp>(op.row_end - op.row_begin);

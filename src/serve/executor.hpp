@@ -8,6 +8,16 @@
 // according to the plan's FreeAfterLastUse annotation, and runs every
 // PartitionRows slice group as one fan-out on the runtime pool so a
 // single sample's heaviest layers execute on several workers at once.
+//
+// Every CSR node binds to ONE op type that computes a row range of its
+// (fp32 or int8) matrix with the bias and fused epilogue in the kernel's
+// output loop: a whole kSpmm/kConv node is its full-range slice
+// [0, rows), a kRowSlice a sub-range of the parent its group shares.
+// Only the input layout differs, fixed at bind time from the node:
+// features (kSpmm, linear slices), images (kConv: im2col into per-chunk
+// scratch, batch split across the IntraOp) or the shared kIm2col patch
+// buffer (conv slices, which run inline — the group fan-out is their
+// parallelism).
 #pragma once
 
 #include <memory>

@@ -53,8 +53,6 @@ const char* to_string(PlanOpKind kind) {
   return "?";
 }
 
-namespace {
-
 const char* to_string(ActKind act) {
   switch (act) {
     case ActKind::kRelu:
@@ -68,6 +66,19 @@ const char* to_string(ActKind act) {
   }
   return "?";
 }
+
+void append_fused(std::string& out, const PlanEpilogue& epilogue) {
+  if (epilogue.empty()) return;
+  out += ", fused(";
+  if (epilogue.add_residual) out += "add";
+  if (epilogue.has_act) {
+    if (epilogue.add_residual) out += "+";
+    out += to_string(epilogue.act);
+  }
+  out += ")";
+}
+
+namespace {
 
 tensor::ConvGeometry conv_geometry(const PlanOp& op, std::size_t in_h,
                                    std::size_t in_w) {
@@ -96,25 +107,32 @@ std::size_t weights_cols(const PlanOp& op) {
   return op.csr != nullptr ? op.csr->cols() : op.qcsr->cols();
 }
 
-std::size_t weights_nnz(const PlanOp& op) {
-  return op.csr != nullptr ? op.csr->nnz() : op.qcsr->nnz();
+// The row range a CSR node computes: a whole kSpmm/kConv node is its
+// full-range slice [0, rows), a kRowSlice its own sub-range.
+struct RowRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+RowRange row_range(const PlanOp& op) {
+  if (op.kind == PlanOpKind::kRowSlice) return {op.row_begin, op.row_end};
+  return {0, weights_rows(op)};
 }
 
-std::size_t slice_nnz(const PlanOp& op) {
-  return op.csr != nullptr
-             ? op.csr->row_slice(op.row_begin, op.row_end).nnz()
-             : op.qcsr->row_slice(op.row_begin, op.row_end).nnz();
+std::size_t range_nnz(const PlanOp& op) {
+  const RowRange r = row_range(op);
+  return op.csr != nullptr ? op.csr->row_slice(r.begin, r.end).nnz()
+                           : op.qcsr->row_slice(r.begin, r.end).nnz();
 }
 
-// Weight bytes this node streams at run time. Row slices count their own
-// row range (the parent's bytes split across the group); fp32 CSR is
-// 4-byte values + 4-byte column indices, int8 QCsr is 1-byte values +
-// 4-byte indices + one fp32 scale per row; both stream size_t row_ptr.
+// Weight bytes this node streams at run time: its own row range (a
+// partition group splits the parent's bytes). fp32 CSR is 4-byte values +
+// 4-byte column indices, int8 QCsr is 1-byte values + 4-byte indices +
+// one fp32 scale per row; both stream size_t row_ptr.
 std::size_t node_weight_bytes(const PlanOp& op) {
-  const bool slice = op.kind == PlanOpKind::kRowSlice;
-  const std::size_t rows =
-      slice ? op.row_end - op.row_begin : weights_rows(op);
-  const std::size_t nnz = slice ? slice_nnz(op) : weights_nnz(op);
+  const RowRange r = row_range(op);
+  const std::size_t rows = r.end - r.begin;
+  const std::size_t nnz = range_nnz(op);
   if (op.qcsr != nullptr) {
     return nnz * (sizeof(std::int8_t) + sizeof(std::uint32_t)) +
            rows * sizeof(float) + (rows + 1) * sizeof(std::size_t);
@@ -132,19 +150,6 @@ double epilogue_flops(const PlanOp& op, double out_elems) {
   if (op.epilogue.add_residual) per_elem += 1.0;
   if (op.epilogue.has_act) per_elem += 1.0;
   return per_elem * out_elems;
-}
-
-// Appends ", fused(relu)" / ", fused(add+relu)" / ", fused(add)" for a
-// CSR node carrying a FuseEpilogue annotation.
-void append_fused(std::string& out, const PlanOp& op) {
-  if (op.epilogue.empty()) return;
-  out += ", fused(";
-  if (op.epilogue.add_residual) out += "add";
-  if (op.epilogue.has_act) {
-    if (op.epilogue.add_residual) out += "+";
-    out += to_string(op.epilogue.act);
-  }
-  out += ")";
 }
 
 }  // namespace
@@ -219,25 +224,30 @@ std::vector<Plan::NodeCost> Plan::annotate(
     const std::size_t batch = in.dim(0);
     NodeCost& c = costs[i];
     switch (op.kind) {
-      case PlanOpKind::kSpmm: {
-        c.out_shape = tensor::Shape({batch, weights_rows(op)});
-        c.flops = sparse::linear_nnz_flops(weights_nnz(op), batch);
-        c.dense_flops = sparse::linear_nnz_flops(
-            weights_rows(op) * weights_cols(op), batch);
-        const double ep = epilogue_flops(op, c.out_shape.numel());
-        c.flops += ep;
-        c.dense_flops += ep;
-        c.weight_bytes = node_weight_bytes(op);
-        break;
-      }
-      case PlanOpKind::kConv: {
-        const tensor::ConvGeometry g = conv_geometry(op, in.dim(2), in.dim(3));
-        c.out_shape =
-            tensor::Shape({batch, weights_rows(op), g.out_h(), g.out_w()});
-        c.flops = sparse::conv_nnz_flops(weights_nnz(op), g.out_h(), g.out_w(),
-                                         batch);
-        c.dense_flops = sparse::conv_nnz_flops(
-            weights_rows(op) * weights_cols(op), g.out_h(), g.out_w(), batch);
+      case PlanOpKind::kSpmm:
+      case PlanOpKind::kConv:
+      case PlanOpKind::kRowSlice: {
+        const RowRange r = row_range(op);
+        const std::size_t rows = r.end - r.begin;
+        const std::size_t dense = rows * weights_cols(op);
+        const std::size_t nnz = range_nnz(op);
+        if (op.kind == PlanOpKind::kConv || op.conv_slice) {
+          // A whole conv reads the image; a conv slice reads the shared
+          // kIm2col patch buffer [N, P, OH, OW].
+          std::size_t oh = in.dim(2), ow = in.dim(3);
+          if (op.kind == PlanOpKind::kConv) {
+            const tensor::ConvGeometry g = conv_geometry(op, oh, ow);
+            oh = g.out_h();
+            ow = g.out_w();
+          }
+          c.out_shape = tensor::Shape({batch, rows, oh, ow});
+          c.flops = sparse::conv_nnz_flops(nnz, oh, ow, batch);
+          c.dense_flops = sparse::conv_nnz_flops(dense, oh, ow, batch);
+        } else {
+          c.out_shape = tensor::Shape({batch, rows});
+          c.flops = sparse::linear_nnz_flops(nnz, batch);
+          c.dense_flops = sparse::linear_nnz_flops(dense, batch);
+        }
         const double ep = epilogue_flops(op, c.out_shape.numel());
         c.flops += ep;
         c.dense_flops += ep;
@@ -248,27 +258,6 @@ std::vector<Plan::NodeCost> Plan::annotate(
         const tensor::ConvGeometry g = conv_geometry(op, in.dim(2), in.dim(3));
         c.out_shape =
             tensor::Shape({batch, g.patch_size(), g.out_h(), g.out_w()});
-        break;
-      }
-      case PlanOpKind::kRowSlice: {
-        const std::size_t rows = op.row_end - op.row_begin;
-        const std::size_t nnz = slice_nnz(op);
-        if (op.conv_slice) {
-          // Input is the patch buffer [N, P, OH, OW].
-          c.out_shape = tensor::Shape({batch, rows, in.dim(2), in.dim(3)});
-          c.flops = sparse::conv_nnz_flops(nnz, in.dim(2), in.dim(3), batch);
-          c.dense_flops = sparse::conv_nnz_flops(rows * weights_cols(op),
-                                                 in.dim(2), in.dim(3), batch);
-        } else {
-          c.out_shape = tensor::Shape({batch, rows});
-          c.flops = sparse::linear_nnz_flops(nnz, batch);
-          c.dense_flops =
-              sparse::linear_nnz_flops(rows * weights_cols(op), batch);
-        }
-        const double ep = epilogue_flops(op, c.out_shape.numel());
-        c.flops += ep;
-        c.dense_flops += ep;
-        c.weight_bytes = node_weight_bytes(op);
         break;
       }
       case PlanOpKind::kConcatChannels: {
@@ -373,40 +362,36 @@ std::string Plan::dump(const tensor::Shape* sample_shape) const {
       // Trailing annotations use separate appends: GCC 12's -Wrestrict
       // misfires on long operator+ chains ending in a ternary char*.
       case PlanOpKind::kSpmm:
-        out += "(" + std::to_string(weights_rows(op)) + "x" +
-               std::to_string(weights_cols(op)) +
-               ", nnz=" + std::to_string(weights_nnz(op));
-        if (op.folded_bn) out += ", +bn";
-        if (op.qcsr != nullptr) out += ", int8";
-        append_fused(out, op);
-        out += ")";
-        break;
       case PlanOpKind::kConv:
-        out += "(" + std::to_string(op.in_channels) + "->" +
-               std::to_string(weights_rows(op)) + ", k" +
-               std::to_string(op.kernel) + " s" + std::to_string(op.stride) +
-               " p" + std::to_string(op.padding) +
-               ", nnz=" + std::to_string(weights_nnz(op));
+      case PlanOpKind::kRowSlice:
+        if (op.kind == PlanOpKind::kSpmm) {
+          out += "(" + std::to_string(weights_rows(op)) + "x" +
+                 std::to_string(weights_cols(op));
+        } else if (op.kind == PlanOpKind::kConv) {
+          out += "(" + std::to_string(op.in_channels) + "->" +
+                 std::to_string(weights_rows(op)) + ", k" +
+                 std::to_string(op.kernel) + " s" +
+                 std::to_string(op.stride) + " p" +
+                 std::to_string(op.padding);
+        } else {
+          out += "(rows " + std::to_string(op.row_begin) + ":" +
+                 std::to_string(op.row_end) + " of " +
+                 std::to_string(weights_rows(op));
+        }
+        out += ", nnz=" + std::to_string(range_nnz(op));
+        if (op.kind == PlanOpKind::kRowSlice) {
+          out += ", group " + std::to_string(op.partition_group);
+          if (op.conv_slice) out += ", conv";
+        }
         if (op.folded_bn) out += ", +bn";
         if (op.qcsr != nullptr) out += ", int8";
-        append_fused(out, op);
+        append_fused(out, op.epilogue);
         out += ")";
         break;
       case PlanOpKind::kIm2col:
         out += "(" + std::to_string(op.in_channels) + "ch, k" +
                std::to_string(op.kernel) + " s" + std::to_string(op.stride) +
                " p" + std::to_string(op.padding) + ")";
-        break;
-      case PlanOpKind::kRowSlice:
-        out += "(rows " + std::to_string(op.row_begin) + ":" +
-               std::to_string(op.row_end) + " of " +
-               std::to_string(weights_rows(op)) +
-               ", nnz=" + std::to_string(slice_nnz(op)) + ", group " +
-               std::to_string(op.partition_group);
-        if (op.conv_slice) out += ", conv";
-        if (op.qcsr != nullptr) out += ", int8";
-        append_fused(out, op);
-        out += ")";
         break;
       case PlanOpKind::kScaleShift:
         out += "(" + std::to_string(op.scale.size()) + ")";

@@ -24,6 +24,12 @@
 // through the DAG to attach per-node shapes, executed FLOPs and cost
 // shares — the signal PartitionRows balances against, and what
 // `dstee_serve --dump-plan` prints.
+//
+// A CSR node (kSpmm, kConv, kRowSlice) computes one row range of its
+// weight matrix: a whole kSpmm/kConv node is its full-range slice
+// [0, rows), a kRowSlice the sub-range [row_begin, row_end). The cost
+// model, the dump, the executor's CSR op and delta patching all read a
+// node that way.
 #pragma once
 
 #include <memory>
@@ -71,6 +77,9 @@ const char* to_string(PlanOpKind kind);
 /// fused kernels::Epilogue a bound op builds from it can never disagree.
 using ActKind = kernels::ActKind;
 
+/// Short lowercase activation name ("relu", "leaky_relu", ...).
+const char* to_string(ActKind act);
+
 /// Fused-epilogue annotation on a producing CSR node (kSpmm / kConv and
 /// the kRowSlice sub-ops PartitionRows derives from them). FuseEpilogue
 /// absorbs a downstream kActivation and/or residual kAdd into the node;
@@ -85,6 +94,11 @@ struct PlanEpilogue {
 
   bool empty() const { return !add_residual && !has_act; }
 };
+
+/// Appends ", fused(add+relu)" (or "(relu)", "(add)") for a non-empty
+/// epilogue — the fusion marker shared by Plan::dump and
+/// Executor::describe_ops.
+void append_fused(std::string& out, const PlanEpilogue& epilogue);
 
 /// One plan node. Which fields are meaningful depends on `kind` (see the
 /// member comments); everything else stays at its default. Weights are

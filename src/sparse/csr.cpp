@@ -163,10 +163,6 @@ tensor::Tensor CsrMatrix::matvec(const tensor::Tensor& x) const {
   return y;
 }
 
-tensor::Tensor CsrMatrix::matmul_nt(const tensor::Tensor& x) const {
-  return spmm(x, 1);
-}
-
 tensor::Tensor CsrMatrix::spmm(const tensor::Tensor& x,
                                const runtime::IntraOp& intra,
                                const kernels::Epilogue& ep,
@@ -250,55 +246,6 @@ tensor::Tensor CsrMatrix::to_dense() const {
     }
   }
   return dense;
-}
-
-SparseLinearStack::SparseLinearStack(std::vector<CsrMatrix> layers,
-                                     std::vector<tensor::Tensor> biases)
-    : layers_(std::move(layers)), biases_(std::move(biases)) {
-  util::check(!layers_.empty(), "sparse stack requires at least one layer");
-  util::check(biases_.size() == layers_.size(),
-              "one bias entry (possibly empty) per layer required");
-  for (std::size_t i = 1; i < layers_.size(); ++i) {
-    util::check(layers_[i].cols() == layers_[i - 1].rows(),
-                "layer dimensions do not chain");
-  }
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    util::check(biases_[i].numel() == 0 ||
-                    biases_[i].numel() == layers_[i].rows(),
-                "bias size must match layer output");
-  }
-}
-
-const CsrMatrix& SparseLinearStack::layer(std::size_t i) const {
-  util::check(i < layers_.size(), "layer index out of range");
-  return layers_[i];
-}
-
-std::size_t SparseLinearStack::total_nnz() const {
-  std::size_t n = 0;
-  for (const auto& l : layers_) n += l.nnz();
-  return n;
-}
-
-tensor::Tensor SparseLinearStack::forward(const tensor::Tensor& x) const {
-  util::check(x.rank() == 2, "forward expects [batch, features]");
-  tensor::Tensor h = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i].matmul_nt(h);
-    const std::size_t out = layers_[i].rows();
-    if (biases_[i].numel() == out) {
-      for (std::size_t n = 0; n < h.dim(0); ++n) {
-        float* row = h.raw() + n * out;
-        for (std::size_t j = 0; j < out; ++j) row[j] += biases_[i][j];
-      }
-    }
-    if (i + 1 < layers_.size()) {  // ReLU between layers, none at the head
-      for (std::size_t j = 0; j < h.numel(); ++j) {
-        if (h[j] < 0.0f) h[j] = 0.0f;
-      }
-    }
-  }
-  return h;
 }
 
 }  // namespace dstee::sparse

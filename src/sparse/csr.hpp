@@ -123,11 +123,6 @@ class CsrMatrix {
   /// y = A·x for x[cols] → y[rows].
   tensor::Tensor matvec(const tensor::Tensor& x) const;
 
-  /// Y = X·Aᵀ for X[batch, cols] → Y[batch, rows] — the sparse Linear
-  /// forward (weights stored [out, in] as in nn::Linear). Equivalent to
-  /// spmm(x, 1); kept for call sites that predate the batched kernel.
-  tensor::Tensor matmul_nt(const tensor::Tensor& x) const;
-
   /// Batched SpMM: Y = X·Aᵀ for X[batch, cols] → Y[batch, rows].
   ///
   /// The loop nest is row-parallel: output rows are split into contiguous
@@ -199,33 +194,6 @@ class CsrMatrix {
   std::vector<std::size_t> row_ptr_;
   std::vector<std::uint32_t> col_idx_;
   std::vector<float> values_;
-};
-
-/// Sparse-deployed MLP inference: converts every sparsifiable rank-2 layer
-/// of a SparseModel into CSR once, then serves forward passes without
-/// touching dense weights. Only Linear-chain models are supported (conv
-/// deployment would lower to CSR over im2col patches; out of scope here).
-class SparseLinearStack {
- public:
-  /// Captures CSR weights + dense biases from an MLP-shaped module whose
-  /// sparsifiable parameters are rank-2 [out, in] matrices, in order.
-  /// `biases[i]` may be empty when the layer has none.
-  SparseLinearStack(std::vector<CsrMatrix> layers,
-                    std::vector<tensor::Tensor> biases);
-
-  /// Forward with ReLU between layers (matching models::Mlp without
-  /// batch-norm/dropout, in eval mode).
-  tensor::Tensor forward(const tensor::Tensor& x) const;
-
-  std::size_t num_layers() const { return layers_.size(); }
-  const CsrMatrix& layer(std::size_t i) const;
-
-  /// Total stored nonzeros across layers.
-  std::size_t total_nnz() const;
-
- private:
-  std::vector<CsrMatrix> layers_;
-  std::vector<tensor::Tensor> biases_;
 };
 
 }  // namespace dstee::sparse

@@ -33,15 +33,25 @@ bool ArgParser::parse(int argc, const char* const* argv) {
     check(starts_with(token, "--"), "expected --flag, got: " + token);
     token = token.substr(2);
     std::string value;
-    if (const auto eq = token.find('='); eq != std::string::npos) {
+    const auto eq = token.find('=');
+    const bool inline_value = eq != std::string::npos;
+    if (inline_value) {
       value = token.substr(eq + 1);
       token = token.substr(0, eq);
-    } else {
-      check(i + 1 < argc, "flag --" + token + " is missing a value");
-      value = argv[++i];
     }
     auto it = flags_.find(token);
     check(it != flags_.end(), "unknown flag: --" + token);
+    if (!inline_value) {
+      // A boolean flag given bare (at the end, or followed by another
+      // --flag) means true; any flag otherwise takes the next token.
+      if (is_boolean(it->second) &&
+          (i + 1 == argc || starts_with(argv[i + 1], "--"))) {
+        value = "true";
+      } else {
+        check(i + 1 < argc, "flag --" + token + " is missing a value");
+        value = argv[++i];
+      }
+    }
     it->second.value = value;
   }
   for (const auto& [name, flag] : flags_) {
@@ -49,6 +59,11 @@ bool ArgParser::parse(int argc, const char* const* argv) {
           "required flag --" + name + " was not provided");
   }
   return true;
+}
+
+bool ArgParser::is_boolean(const Flag& flag) {
+  const std::string d = to_lower(flag.default_value);
+  return d == "true" || d == "false";
 }
 
 const ArgParser::Flag& ArgParser::find(const std::string& name) const {
@@ -101,6 +116,7 @@ std::string ArgParser::usage() const {
   for (const auto& name : order_) {
     const Flag& flag = flags_.at(name);
     os << "  --" << name;
+    if (is_boolean(flag)) os << " [true|false]";
     if (!flag.default_value.empty()) {
       os << " (default: " << flag.default_value << ")";
     } else if (flag.required) {

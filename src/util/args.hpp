@@ -1,8 +1,10 @@
 // Minimal command-line flag parser for the CLI tools.
 //
 // Supports --name value and --name=value forms, typed accessors with
-// defaults, required flags, and an auto-generated --help text. Unknown
-// flags are an error (catches typos in experiment scripts).
+// defaults, required flags, and an auto-generated --help text. A flag
+// declared with default "true" or "false" is boolean and may also stand
+// alone: a bare --name (last, or followed by another --flag) means true.
+// Unknown flags are an error (catches typos in experiment scripts).
 #pragma once
 
 #include <map>
@@ -46,6 +48,8 @@ class ArgParser {
     std::optional<std::string> value;
   };
   const Flag& find(const std::string& name) const;
+  /// Declared with default "true"/"false": may be given without a value.
+  static bool is_boolean(const Flag& flag);
 
   std::string description_;
   std::map<std::string, Flag> flags_;

@@ -53,6 +53,30 @@ TEST(Args, BooleanSpellings) {
   }
 }
 
+TEST(Args, BareBooleanFlagMeansTrue) {
+  // A flag declared with a true/false default may stand alone: last on
+  // the line, or followed by another --flag.
+  auto p = make_parser();
+  EXPECT_EQ(parse(p, {"--needed", "x", "--verbose"}), 1);
+  EXPECT_TRUE(p.get_bool("verbose"));
+  auto p2 = make_parser();
+  EXPECT_EQ(parse(p2, {"--verbose", "--needed", "x", "--count", "4"}), 1);
+  EXPECT_TRUE(p2.get_bool("verbose"));
+  EXPECT_EQ(p2.get_string("needed"), "x");
+  EXPECT_EQ(p2.get_int("count"), 4);
+}
+
+TEST(Args, BooleanFlagStillTakesAnExplicitValue) {
+  for (const std::vector<const char*>& form :
+       {std::vector<const char*>{"--verbose=false", "--needed", "x"},
+        std::vector<const char*>{"--verbose", "false", "--needed", "x"}}) {
+    auto p = make_parser();
+    EXPECT_EQ(parse(p, form), 1);
+    EXPECT_FALSE(p.get_bool("verbose")) << form[0];
+    EXPECT_EQ(p.get_string("needed"), "x");
+  }
+}
+
 TEST(Args, HelpShortCircuits) {
   auto p = make_parser();
   EXPECT_EQ(parse(p, {"--help"}), 0);  // returns false, no required check
@@ -63,6 +87,8 @@ TEST(Args, UsageListsFlagsAndDefaults) {
   const std::string usage = p.usage();
   EXPECT_NE(usage.find("--count (default: 3)"), std::string::npos);
   EXPECT_NE(usage.find("--needed (required)"), std::string::npos);
+  EXPECT_NE(usage.find("--verbose [true|false] (default: false)"),
+            std::string::npos);
 }
 
 TEST(Args, ErrorsOnUnknownFlag) {
@@ -74,6 +100,9 @@ TEST(Args, ErrorsOnUnknownFlag) {
 TEST(Args, ErrorsOnMissingValue) {
   auto p = make_parser();
   EXPECT_THROW(parse(p, {"--needed"}), util::CheckError);
+  // Only a flag with a true/false default may stand alone.
+  auto p2 = make_parser();
+  EXPECT_THROW(parse(p2, {"--needed", "x", "--count"}), util::CheckError);
 }
 
 TEST(Args, ErrorsOnMissingRequired) {

@@ -1,5 +1,5 @@
 // CSR sparse-inference tests: conversion round-trips, products vs dense
-// reference, and the end-to-end sparse deployment of a trained MLP.
+// reference, and the end-to-end sparse deployment of a masked MLP.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +7,7 @@
 #include "models/mlp.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
+#include "serve/compiled_net.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/sparse_model.hpp"
 #include "tensor/im2col.hpp"
@@ -68,7 +69,7 @@ TEST(Csr, MatmulNtMatchesDenseKernel) {
   const auto w = random_tensor(tensor::Shape({6, 9}), 4);
   const auto x = random_tensor(tensor::Shape({4, 9}), 5);
   const auto csr = sparse::CsrMatrix::from_dense(w);
-  EXPECT_TRUE(csr.matmul_nt(x).allclose(tensor::matmul_nt(x, w), 1e-4f));
+  EXPECT_TRUE(csr.spmm(x).allclose(tensor::matmul_nt(x, w), 1e-4f));
 }
 
 TEST(Csr, SpmmMatchesDenseMatmulOnRandomMaskedMatrices) {
@@ -142,7 +143,7 @@ TEST(Csr, ShapeChecks) {
   const auto csr = sparse::CsrMatrix::from_dense(w);
   EXPECT_THROW(csr.matvec(random_tensor(tensor::Shape({5}), 7)),
                util::CheckError);
-  EXPECT_THROW(csr.matmul_nt(random_tensor(tensor::Shape({2, 5}), 8)),
+  EXPECT_THROW(csr.spmm(random_tensor(tensor::Shape({2, 5}), 8)),
                util::CheckError);
   EXPECT_THROW(
       sparse::CsrMatrix::from_dense(random_tensor(tensor::Shape({4}), 9)),
@@ -152,8 +153,8 @@ TEST(Csr, ShapeChecks) {
 class CsrDensitySweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(CsrDensitySweep, SparseForwardMatchesMaskedDenseMlp) {
-  // End-to-end: sparse-train state → CSR stack → forward equals the dense
-  // masked model's eval-mode forward at every density.
+  // End-to-end: sparse-train state → compiled CSR net → forward equals the
+  // dense masked model's eval-mode forward at every density.
   const double sparsity = GetParam();
   util::Rng rng(11);
   models::MlpConfig cfg;
@@ -164,24 +165,13 @@ TEST_P(CsrDensitySweep, SparseForwardMatchesMaskedDenseMlp) {
   sparse::SparseModel sm(model, sparsity,
                          sparse::DistributionKind::kUniform, rng);
 
-  std::vector<sparse::CsrMatrix> layers;
-  std::vector<tensor::Tensor> biases;
-  for (std::size_t i = 0; i < sm.num_layers(); ++i) {
-    layers.push_back(sparse::CsrMatrix::from_masked(sm.layer(i)));
-  }
-  // Collect biases in the same order (linear layers only).
-  for (nn::Parameter* p : model.parameters()) {
-    if (!p->sparsifiable) biases.push_back(p->value);
-  }
-  ASSERT_EQ(biases.size(), layers.size());
-  const sparse::SparseLinearStack stack(std::move(layers), std::move(biases));
-
   model.set_training(false);
+  const auto net = serve::CompiledNet::compile(model, &sm);
   const auto x = random_tensor(tensor::Shape({6, 12}), 13);
   const auto dense_out = model.forward(x);
-  const auto sparse_out = stack.forward(x);
+  const auto sparse_out = net.forward(x);
   EXPECT_TRUE(sparse_out.allclose(dense_out, 1e-3f));
-  EXPECT_EQ(stack.total_nnz(), sm.total_active());
+  EXPECT_EQ(net.total_nnz(), sm.total_active());
 }
 
 INSTANTIATE_TEST_SUITE_P(Densities, CsrDensitySweep,
@@ -403,18 +393,6 @@ TEST(Csr, BalancedRowSplitsEqualizeStoredWork) {
     EXPECT_EQ(hb[j + 1] - hb[j], 1u);
   }
   EXPECT_THROW(heavy_csr.balanced_row_splits(5), util::CheckError);
-}
-
-TEST(Csr, StackValidatesChaining) {
-  std::vector<sparse::CsrMatrix> layers;
-  layers.push_back(
-      sparse::CsrMatrix::from_dense(random_tensor(tensor::Shape({4, 8}), 14)));
-  layers.push_back(
-      sparse::CsrMatrix::from_dense(random_tensor(tensor::Shape({3, 5}), 15)));
-  std::vector<tensor::Tensor> biases(2);
-  EXPECT_THROW(
-      sparse::SparseLinearStack(std::move(layers), std::move(biases)),
-      util::CheckError);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "methods/dst_engine.hpp"
 #include "tensor/ops.hpp"
@@ -69,8 +71,10 @@ struct EngineHarness {
   std::unique_ptr<methods::DstEngine> engine;
 };
 
+// The policy is a std::string, not a const char*: gtest prints a char pointer
+// with its address, which would put a per-process value into the test names.
 class EngineAllPolicies : public ::testing::TestWithParam<
-                              std::tuple<double, const char*>> {};
+                              std::tuple<double, std::string>> {};
 
 TEST_P(EngineAllPolicies, SparsityPreservedAcrossManyRounds) {
   const double sparsity = std::get<0>(GetParam());
@@ -88,8 +92,10 @@ TEST_P(EngineAllPolicies, SparsityPreservedAcrossManyRounds) {
 INSTANTIATE_TEST_SUITE_P(
     PolicyGrid, EngineAllPolicies,
     ::testing::Combine(::testing::Values(0.5, 0.8, 0.9, 0.95, 0.98),
-                       ::testing::Values("random", "gradient", "momentum",
-                                         "dst-ee")));
+                       ::testing::Values(std::string("random"),
+                                         std::string("gradient"),
+                                         std::string("momentum"),
+                                         std::string("dst-ee"))));
 
 TEST(Engine, MaybeUpdateHonoursSchedule) {
   EngineHarness h(0.9, "dst-ee");

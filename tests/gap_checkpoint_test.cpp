@@ -101,6 +101,9 @@ TEST(Gap, PartitionAssignmentRoundRobin) {
 
 // ---------------------------------------------------------------------------
 
+// Each checkpoint test writes under its own directory and removes only
+// that: ctest -j runs every TEST as a separate process in the same cwd,
+// so a shared directory would be deleted under a concurrent test.
 struct CheckpointHarness {
   CheckpointHarness(std::uint64_t seed = 5)
       : rng(seed),
@@ -121,7 +124,7 @@ struct CheckpointHarness {
 };
 
 TEST(Checkpoint, RoundTripsValuesMasksAndCounters) {
-  const std::string path = "test_ckpt/model.bin";
+  const std::string path = "test_ckpt_roundtrip/model.bin";
   CheckpointHarness a(5);
   a.smodel.accumulate_counters();  // make counters nontrivial
   train::save_checkpoint(path, a.model, &a.smodel);
@@ -143,22 +146,22 @@ TEST(Checkpoint, RoundTripsValuesMasksAndCounters) {
         b.smodel.layer(i).counter()));
   }
   EXPECT_EQ(sparse::validate_invariants(b.smodel), "");
-  std::filesystem::remove_all("test_ckpt");
+  std::filesystem::remove_all("test_ckpt_roundtrip");
 }
 
 TEST(Checkpoint, ValuesOnlyRoundTrip) {
-  const std::string path = "test_ckpt/dense.bin";
+  const std::string path = "test_ckpt_values_only/dense.bin";
   CheckpointHarness a(7);
   train::save_checkpoint(path, a.model);
   CheckpointHarness b(8);
   train::load_checkpoint(path, b.model);
   EXPECT_TRUE(a.model.parameters()[0]->value.equals(
       b.model.parameters()[0]->value));
-  std::filesystem::remove_all("test_ckpt");
+  std::filesystem::remove_all("test_ckpt_values_only");
 }
 
 TEST(Checkpoint, ForwardIdenticalAfterReload) {
-  const std::string path = "test_ckpt/fw.bin";
+  const std::string path = "test_ckpt_forward/fw.bin";
   CheckpointHarness a(9);
   a.model.set_training(false);
   const auto x = testing::random_tensor(tensor::Shape({3, 10}), 1);
@@ -168,7 +171,7 @@ TEST(Checkpoint, ForwardIdenticalAfterReload) {
   b.model.set_training(false);
   train::load_checkpoint(path, b.model, &b.smodel);
   EXPECT_TRUE(b.model.forward(x).equals(before));
-  std::filesystem::remove_all("test_ckpt");
+  std::filesystem::remove_all("test_ckpt_forward");
 }
 
 TEST(Checkpoint, MissingFileThrows) {
@@ -178,25 +181,25 @@ TEST(Checkpoint, MissingFileThrows) {
 }
 
 TEST(Checkpoint, StateCountMismatchDetected) {
-  const std::string path = "test_ckpt/mismatch.bin";
+  const std::string path = "test_ckpt_mismatch/mismatch.bin";
   CheckpointHarness a(12);
   train::save_checkpoint(path, a.model);  // saved WITHOUT sparse state
   CheckpointHarness b(13);
   EXPECT_THROW(train::load_checkpoint(path, b.model, &b.smodel),
                util::CheckError);
-  std::filesystem::remove_all("test_ckpt");
+  std::filesystem::remove_all("test_ckpt_mismatch");
 }
 
 TEST(Checkpoint, CorruptedMagicRejected) {
-  const std::string path = "test_ckpt/corrupt.bin";
-  std::filesystem::create_directories("test_ckpt");
+  const std::string path = "test_ckpt_corrupt/corrupt.bin";
+  std::filesystem::create_directories("test_ckpt_corrupt");
   {
     std::ofstream out(path, std::ios::binary);
     out << "NOPE this is not a checkpoint";
   }
   CheckpointHarness a(14);
   EXPECT_THROW(train::load_checkpoint(path, a.model), util::CheckError);
-  std::filesystem::remove_all("test_ckpt");
+  std::filesystem::remove_all("test_ckpt_corrupt");
 }
 
 }  // namespace

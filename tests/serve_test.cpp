@@ -1533,6 +1533,90 @@ TEST(FuseEpilogue, DumpAndSummaryAnnotateFusedNodes) {
   EXPECT_NE(net.summary().find("fused"), std::string::npos);
 }
 
+// --- the CSR op's contracts -------------------------------------------
+
+TEST(CsrOp, FusedConvResidualWithWrongSpatialDimsThrows) {
+  // A [1,4,6,6] -> [1,4,6,6] conv fused with a residual max-pooled to
+  // [1,4,3,3]: batch and channels agree, H x W does not. The op must
+  // reject the residual before its kernel reads past the end of it.
+  serve::Plan plan;
+  plan.ops.resize(2);
+  plan.ops[0].kind = serve::PlanOpKind::kMaxPool;
+  plan.ops[0].inputs = {serve::Plan::kInputId};
+  plan.ops[0].pool_kernel = 2;
+  plan.ops[0].pool_stride = 2;
+  serve::PlanOp& conv = plan.ops[1];
+  conv.kind = serve::PlanOpKind::kConv;
+  conv.inputs = {serve::Plan::kInputId, 0};
+  conv.csr = dense_csr(4, 4 * 3 * 3, 620);
+  conv.in_channels = 4;
+  conv.kernel = 3;
+  conv.padding = 1;
+  conv.epilogue.add_residual = true;
+  const auto x = random_tensor(tensor::Shape({1, 4, 6, 6}), 621);
+  const auto bad = serve::Executor::bind(serve::Plan(plan), {});
+  EXPECT_THROW(bad.forward(x), util::CheckError);
+
+  // The same conv with a full-size residual (the ReLU'd input) runs.
+  plan.ops[0] = serve::PlanOp{};
+  plan.ops[0].kind = serve::PlanOpKind::kActivation;
+  plan.ops[0].inputs = {serve::Plan::kInputId};
+  const auto good = serve::Executor::bind(std::move(plan), {});
+  EXPECT_EQ(good.forward(x).shape(), tensor::Shape({1, 4, 6, 6}));
+}
+
+/// Weight pipeline of the partitioned-conv contract: "" (fp32) or an
+/// extra quantize step.
+class PartitionedFusedConv : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PartitionedFusedConv, MatchesWholeConvBitForBit) {
+  // Row slices over a shared patch buffer, each adding its channel block
+  // of a fused residual, must reproduce the whole conv — which splits the
+  // batch across two intra-op chunks — bit for bit.
+  models::ResNetConfig cfg;
+  cfg.depth = 18;
+  cfg.image_size = 8;
+  cfg.num_classes = 4;
+  cfg.width_multiplier = 0.07;
+  util::Rng rng(623);
+  models::ResNet resnet(cfg, rng);
+  sparse::SparseModel smodel(resnet, 0.85, sparse::DistributionKind::kErk,
+                             rng);
+  resnet.forward(random_tensor(tensor::Shape({4, 3, 8, 8}), 624));
+  resnet.set_training(false);
+
+  serve::CompileOptions opts;
+  opts.sample_shape = tensor::Shape({3, 8, 8});
+  opts.intra_op_threads = 2;
+  const std::string head = "elide-dropout,fold-bn,fuse-epilogue" + GetParam();
+  serve::Compiler whole(opts);
+  whole.pipeline_from_spec(head + ",free-after-last-use");
+  serve::Compiler split(opts);
+  split.pipeline_from_spec(head + ",partition-rows:2:0,free-after-last-use");
+
+  serve::Plan plan = split.plan(resnet, &smodel);
+  if (!GetParam().empty()) {
+    ASSERT_GT(plan.quantized_ops, 0u);
+  }
+  bool sliced_residual = false;
+  for (const serve::PlanOp& op : plan.ops) {
+    sliced_residual |= op.kind == serve::PlanOpKind::kRowSlice &&
+                       op.conv_slice && op.epilogue.add_residual;
+  }
+  ASSERT_TRUE(sliced_residual);
+  const auto split_net = split.bind(std::move(plan));
+  const auto whole_net = whole.compile(resnet, &smodel);
+  const auto x = random_tensor(tensor::Shape({3, 3, 8, 8}), 625);
+  EXPECT_TRUE(split_net.forward(x).equals(whole_net.forward(x)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Weights, PartitionedFusedConv,
+    ::testing::Values(std::string(), std::string(",quantize:int8")),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param.empty() ? std::string("fp32") : std::string("int8");
+    });
+
 TEST(Compiler, PipelineSpecRoundTripsAndFailsLoudly) {
   serve::Compiler compiler;
   EXPECT_EQ(compiler.pipeline_spec(),

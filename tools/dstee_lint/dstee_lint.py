@@ -261,7 +261,7 @@ def scan_evalop_clone(scans: list[FileScan], findings: list[Finding]) -> None:
             name = m.group(1)
             is_final = bool(m.group(2))
             # Drop access specifiers, namespace qualifiers and template
-            # arguments: `public CsrOp<M>` -> `CsrOp`, so a class template
+            # arguments: `public Base<M>` -> `Base`, so a class template
             # base still anchors the EvalOp hierarchy walk.
             bases = [b.strip().split("<")[0].split()[-1].split("::")[-1]
                      for b in m.group(3).split(",")]
@@ -297,7 +297,7 @@ def scan_evalop_clone(scans: list[FileScan], findings: list[Finding]) -> None:
             continue
         is_leaf = is_final or name not in derived_from
         if not is_leaf:
-            continue  # abstract intermediates (e.g. CsrOp) need no clone
+            continue  # abstract intermediates need no clone
         if re.search(r"\bclone\s*\(", body):
             continue
         if fs.is_waived(line, "evalop-clone"):

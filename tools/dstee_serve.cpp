@@ -459,7 +459,9 @@ int run_registry(const util::ArgParser& args) {
 int run(int argc, const char* const* argv) {
   util::ArgParser args(
       "dstee_serve — compile a (sparse) MLP/VGG/ResNet to CSR ops and serve "
-      "it with a micro-batching thread pool under closed-loop load.");
+      "it with a micro-batching thread pool under closed-loop load. "
+      "Boolean flags ([true|false]) may stand alone: a bare --smoke "
+      "means --smoke true.");
   args.add_flag("model", "mlp | vgg19 | resnet18 | resnet50", "mlp")
       .add_flag("checkpoint",
                 "dstee_run checkpoint to load (empty = random weights with "
