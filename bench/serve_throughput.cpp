@@ -16,7 +16,7 @@
 // pipelines, equals-gated); (4) SIMD kernel-backend dispatch and int8
 // quantized serving (equals-/top-1-gated against scalar fp32); (5)
 // InferenceServer aggregate throughput across shard counts (replicated
-// CompiledNets, round-robin routing); (6) observability overhead —
+// CompiledNets pulling from one queue); (6) observability overhead —
 // tracing disabled vs armed-idle, gated at <= 2% throughput cost. All
 // land in bench_results/serve_scaling.csv.
 //
@@ -539,7 +539,8 @@ void sweep_kernel_backend(const bench::BenchEnv& env, double min_time,
 }
 
 /// Closed-loop aggregate throughput of the sharded InferenceServer. Each
-/// shard owns a replica and its own worker; shards are the scaling knob.
+/// shard owns a replica and its own worker, and every worker pulls from
+/// the one queue; shards are the scaling knob.
 double measure_server_rps(const serve::CompiledNet& net,
                           const tensor::Shape& sample_shape,
                           std::size_t shards, std::size_t clients,
@@ -548,7 +549,6 @@ double measure_server_rps(const serve::CompiledNet& net,
   cfg.num_threads = 1;
   cfg.num_shards = shards;
   cfg.max_batch = 8;
-  cfg.max_delay_ms = 0.2;
   serve::InferenceServer server(net, cfg);
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> completed{0};
@@ -596,7 +596,8 @@ void sweep_shards(const bench::BenchEnv& env, double min_time,
   std::cout << "sharded serving: aggregate closed-loop throughput ("
             << clients << " clients, 1 worker/shard, " << hw
             << " hw threads)\n";
-  util::Table table({"shards", "req/s", "p50 ms", "p99 ms", "queue peak"});
+  util::Table table(
+      {"shards", "req/s", "mean batch", "p50 ms", "p99 ms", "queue peak"});
   double rps_1 = 0.0, rps_n = 0.0;
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
     serve::StatsSnapshot stats;
@@ -606,6 +607,7 @@ void sweep_shards(const bench::BenchEnv& env, double min_time,
     if (shards == 1) rps_1 = rps;
     rps_n = rps;
     table.add_row({std::to_string(shards), util::format_fixed(rps, 0),
+                   util::format_fixed(stats.mean_batch_size, 2),
                    util::format_fixed(stats.latency_p50_ms, 3),
                    util::format_fixed(stats.latency_p99_ms, 3),
                    std::to_string(stats.queue_peak)});
@@ -615,9 +617,13 @@ void sweep_shards(const bench::BenchEnv& env, double min_time,
   }
   std::cout << table.render() << "\n";
   if (hw >= 2) {
-    bench::shape_check(
-        "2 shards beat 1 shard in aggregate throughput (multi-core)",
-        rps_n > rps_1);
+    // Every shard's worker pulls from the one queue, so a second shard
+    // adds a puller and never splits a batch: fewer req/s is a defect.
+    util::check(bench::shape_check(
+                    "2 shards beat 1 shard in aggregate throughput "
+                    "(multi-core)",
+                    rps_n > rps_1),
+                "sweep_shards: 2 shards served fewer req/s than 1 shard");
   } else {
     std::cout << "[skip] shard-scaling check needs >= 2 hardware threads\n";
   }
@@ -670,7 +676,6 @@ void sweep_hotswap(const bench::BenchEnv& env, double min_time,
     mopts.server.num_threads = 1;
     mopts.server.num_shards = kShards;
     mopts.server.max_batch = 8;
-    mopts.server.max_delay_ms = 0.2;
     registry.add_model("m", std::move(module), std::move(state),
                        std::move(mopts));
   };
@@ -823,7 +828,6 @@ void sweep_obs_overhead(const bench::BenchEnv& env, double min_time,
     serve::ServerConfig scfg;
     scfg.num_threads = 1;
     scfg.max_batch = 8;
-    scfg.max_delay_ms = 0.2;
     serve::InferenceServer server(net, scfg);
     tensor::Tensor x(sample_shape);
     util::Rng xrng(48);

@@ -15,13 +15,8 @@ namespace dstee::serve {
 namespace {
 
 // The obs clock is the one sanctioned serve-path timing surface (lint
-// rule serve-timing); millis helpers below are pure duration arithmetic.
+// rule serve-timing); millis_between below is pure duration arithmetic.
 using Clock = obs::Clock;
-
-Clock::duration millis_duration(double ms) {
-  return std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double, std::milli>(ms));
-}
 
 double millis_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
@@ -40,8 +35,6 @@ InferenceServer::InferenceServer(std::shared_ptr<const CompiledNet> net,
   util::check(config_.num_threads >= 1, "server requires >= 1 worker thread");
   util::check(config_.num_shards >= 1, "server requires >= 1 shard");
   util::check(config_.max_batch >= 1, "server requires max_batch >= 1");
-  util::check(config_.max_delay_ms >= 0.0,
-              "server max_delay_ms must be non-negative");
   util::check(config_.queue_capacity >= config_.max_batch,
               "queue_capacity must be >= max_batch");
   if (config_.max_shards == 0) config_.max_shards = config_.num_shards;
@@ -64,6 +57,13 @@ InferenceServer::InferenceServer(std::shared_ptr<const CompiledNet> net,
     latency_hist_ = &config_.metrics->histogram(
         "dstee_request_latency_ms", config_.metrics_label,
         "End-to-end request latency (queue wait + compute), milliseconds");
+    queue_wait_hist_ = &config_.metrics->histogram(
+        "dstee_queue_wait_ms", config_.metrics_label,
+        "Time a request waits in the queue before a worker takes it, "
+        "milliseconds");
+    batch_size_hist_ = &config_.metrics->histogram(
+        "dstee_batch_size", config_.metrics_label,
+        "Requests per executed micro-batch");
     requests_ctr_ = &config_.metrics->counter(
         "dstee_requests_total", config_.metrics_label, "Completed requests");
     batches_ctr_ = &config_.metrics->counter(
@@ -73,35 +73,21 @@ InferenceServer::InferenceServer(std::shared_ptr<const CompiledNet> net,
   // Workers start only after every shard exists: a worker never observes a
   // half-built shards_ vector.
   for (std::size_t si = 0; si < shards_.size(); ++si) {
-    Shard* s = shards_[si].get();
-    s->workers.reserve(config_.num_threads);
+    Shard& s = *shards_[si];
+    s.workers.reserve(config_.num_threads);
     for (std::size_t t = 0; t < config_.num_threads; ++t) {
-      s->workers.emplace_back([this, s, si, t] {
+      s.workers.emplace_back([this, si, t] {
         // Named at thread start, before the first trace record registers
         // this thread's ring (see obs::set_thread_name).
         obs::set_thread_name("serve-s" + std::to_string(si) + "-w" +
                              std::to_string(t));
-        worker_loop(*s);
+        worker_loop(si);
       });
     }
   }
 }
 
 InferenceServer::~InferenceServer() { shutdown(); }
-
-InferenceServer::Shard& InferenceServer::route(
-    const tensor::Shape& sample_shape) {
-  const std::size_t active = active_shards_.load(std::memory_order_acquire);
-  if (active == 1) return *shards_[0];
-  // FNV-1a over the dims picks the shape's cursor bucket.
-  std::size_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < sample_shape.rank(); ++i) {
-    h ^= sample_shape.dim(i) + 1;
-    h *= 1099511628211ull;
-  }
-  std::atomic<std::size_t>& cursor = route_cursors_[h % kRouteBuckets];
-  return *shards_[cursor.fetch_add(1, std::memory_order_relaxed) % active];
-}
 
 void InferenceServer::validate_sample(const tensor::Tensor& input) const {
   util::check(input.rank() >= 1,
@@ -117,8 +103,7 @@ void InferenceServer::validate_sample(const tensor::Tensor& input) const {
   }
 }
 
-std::future<tensor::Tensor> InferenceServer::enqueue(Shard& shard,
-                                                     tensor::Tensor input) {
+std::future<tensor::Tensor> InferenceServer::enqueue(tensor::Tensor input) {
   Request req;
   req.input = std::move(input);
   // One relaxed load when tracing is off; a sampled request gets a
@@ -126,44 +111,40 @@ std::future<tensor::Tensor> InferenceServer::enqueue(Shard& shard,
   req.trace_id = obs::trace().sample();
   req.enqueued = obs::now();
   std::future<tensor::Tensor> result = req.result.get_future();
-  shard.queue.push_back(std::move(req));
-  shard.stats.record_queue_depth(shard.queue.size());
-  shard.queue_cv.notify_one();
+  queue_.push_back(std::move(req));
+  server_stats_.record_queue_depth(queue_.size());
+  work_cv_.notify_one();
   return result;
 }
 
 std::future<tensor::Tensor> InferenceServer::submit(tensor::Tensor input) {
   validate_sample(input);
-  Shard& shard = route(input.shape());
-  util::UniqueLock lock(shard.mu);
-  if (!shard.stopping && shard.queue.size() >= config_.queue_capacity) {
+  util::UniqueLock lock(mu_);
+  if (!stopping_ && queue_.size() >= config_.queue_capacity) {
     // Backpressure stall: the wait itself is part of the serving story,
     // so it is measured and surfaced instead of silently absorbed.
     const Clock::time_point blocked_from = obs::now();
-    while (!shard.stopping &&
-           shard.queue.size() >= config_.queue_capacity) {
-      shard.space_cv.wait(lock);
+    while (!stopping_ && queue_.size() >= config_.queue_capacity) {
+      space_cv_.wait(lock);
     }
-    shard.stats.record_blocked_ms(
-        millis_between(blocked_from, obs::now()));
+    server_stats_.record_blocked_ms(millis_between(blocked_from, obs::now()));
   }
-  util::check(!shard.stopping, "submit on a shut-down server");
-  return enqueue(shard, std::move(input));
+  util::check(!stopping_, "submit on a shut-down server");
+  return enqueue(std::move(input));
 }
 
 std::optional<std::future<tensor::Tensor>> InferenceServer::try_submit(
     tensor::Tensor input) {
   validate_sample(input);
-  Shard& shard = route(input.shape());
   const std::size_t quota =
       config_.queue_quota > 0 ? config_.queue_quota : config_.queue_capacity;
-  util::UniqueLock lock(shard.mu);
-  util::check(!shard.stopping, "try_submit on a shut-down server");
-  if (shard.queue.size() >= quota) {
-    shard.stats.record_shed();
+  util::UniqueLock lock(mu_);
+  util::check(!stopping_, "try_submit on a shut-down server");
+  if (queue_.size() >= quota) {
+    server_stats_.record_shed();
     return std::nullopt;
   }
-  return enqueue(shard, std::move(input));
+  return enqueue(std::move(input));
 }
 
 void InferenceServer::swap(std::shared_ptr<const CompiledNet> net,
@@ -187,26 +168,26 @@ void InferenceServer::swap(std::shared_ptr<const CompiledNet> net,
     shards_[s]->net.store(std::move(version));
   }
   ++swap_epoch_;
-  // One tick per swap (not per replica): aggregate() then reports the
-  // number of version publications, see stats.hpp.
-  shards_[0]->stats.record_swap();
+  // One tick per swap (not per replica): stats() then reports the number
+  // of version publications, see stats.hpp.
+  server_stats_.record_swap();
 }
 
 std::size_t InferenceServer::scale_to(std::size_t shards) {
   std::size_t target = shards;
   if (target < 1) target = 1;
   if (target > shards_.size()) target = shards_.size();
-  active_shards_.store(target, std::memory_order_release);
+  {
+    util::MutexLock lock(mu_);
+    active_shards_.store(target, std::memory_order_release);
+  }
+  park_cv_.notify_all();  // grown shards start pulling
   return target;
 }
 
 std::size_t InferenceServer::queue_depth() const {
-  std::size_t depth = 0;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    depth += shard->queue.size();
-  }
-  return depth;
+  util::MutexLock lock(mu_);
+  return queue_.size();
 }
 
 std::size_t InferenceServer::swap_epoch() const {
@@ -215,43 +196,43 @@ std::size_t InferenceServer::swap_epoch() const {
 }
 
 std::vector<InferenceServer::Request> InferenceServer::next_batch(
-    Shard& shard) {
-  util::UniqueLock lock(shard.mu);
+    std::size_t shard) {
+  util::UniqueLock lock(mu_);
   for (;;) {
-    while (!shard.stopping && shard.queue.empty()) shard.queue_cv.wait(lock);
-    if (shard.queue.empty()) return {};  // stopping and fully drained
-
-    // Micro-batch window: fill up to max_batch, but never keep the head
-    // request waiting past its delay budget. The deadline is recomputed
-    // from the CURRENT head each pass — another worker may have drained
-    // the queue and a newer request become head, with a fresh window.
-    // During shutdown flush at once.
-    while (!shard.stopping && !shard.queue.empty() &&
-           shard.queue.size() < config_.max_batch) {
-      const Clock::time_point deadline =
-          shard.queue.front().enqueued + millis_duration(config_.max_delay_ms);
-      if (obs::now() >= deadline) break;  // head's window expired: flush
-      shard.queue_cv.wait_until(lock, deadline);
+    const bool active =
+        shard < active_shards_.load(std::memory_order_relaxed);
+    // During shutdown parked workers help drain.
+    if (!queue_.empty() && (active || stopping_)) break;
+    if (stopping_) return {};  // stopping and fully drained
+    if (active) {
+      work_cv_.wait(lock);
+    } else {
+      // A worker parked while it waited may have taken a wake-up meant
+      // for an active one: hand it on before parking.
+      if (!queue_.empty()) work_cv_.notify_one();
+      park_cv_.wait(lock);
     }
-    if (shard.queue.empty()) continue;
-
-    // Requests in one tensor must agree on sample shape; heterogeneous
-    // traffic simply splits into per-shape batches.
-    std::vector<Request> batch;
-    const tensor::Shape sample_shape = shard.queue.front().input.shape();
-    while (!shard.queue.empty() && batch.size() < config_.max_batch &&
-           shard.queue.front().input.shape() == sample_shape) {
-      batch.push_back(std::move(shard.queue.front()));
-      shard.queue.pop_front();
-    }
-    shard.space_cv.notify_all();
-    return batch;
   }
+
+  // Work-conserving pickup: the head and the equal-shape run behind it,
+  // right now. Requests in one tensor must agree on sample shape;
+  // heterogeneous traffic simply splits into per-shape batches.
+  std::vector<Request> batch;
+  const tensor::Shape sample_shape = queue_.front().input.shape();
+  while (!queue_.empty() && batch.size() < config_.max_batch &&
+         queue_.front().input.shape() == sample_shape) {
+    batch.push_back(std::move(queue_.front()));
+    queue_.pop_front();
+  }
+  if (!queue_.empty()) work_cv_.notify_one();  // the rest for an idle peer
+  space_cv_.notify_all();
+  return batch;
 }
 
-void InferenceServer::worker_loop(Shard& shard) {
+void InferenceServer::worker_loop(std::size_t shard_index) {
+  Shard& shard = *shards_[shard_index];
   for (;;) {
-    std::vector<Request> batch = next_batch(shard);
+    std::vector<Request> batch = next_batch(shard_index);
     if (batch.empty()) return;
 
     // Trace bookkeeping: the batch's worker-side spans (flush/assemble/
@@ -278,6 +259,11 @@ void InferenceServer::worker_loop(Shard& shard) {
     }
     obs::trace().record(batch_tid, obs::SpanKind::kAssemble, "assemble",
                         assemble_ns, obs::now_ns() - assemble_ns, b);
+    if (queue_wait_hist_ != nullptr) {
+      for (const Request& req : batch) {
+        queue_wait_hist_->observe(millis_between(req.enqueued, popped));
+      }
+    }
 
     std::vector<double> latencies_ms;
     latencies_ms.reserve(b);
@@ -333,6 +319,7 @@ void InferenceServer::worker_loop(Shard& shard) {
       if (requests_ctr_ != nullptr) {
         requests_ctr_->add(b);
         batches_ctr_->add(1);
+        batch_size_hist_->observe(static_cast<double>(b));
       }
     } catch (...) {
       // Settle only the promises that have not been fulfilled yet —
@@ -349,14 +336,13 @@ void InferenceServer::worker_loop(Shard& shard) {
 }
 
 void InferenceServer::shutdown() {
-  for (auto& shard : shards_) {
-    {
-      util::MutexLock lock(shard->mu);
-      shard->stopping = true;
-    }
-    shard->queue_cv.notify_all();
-    shard->space_cv.notify_all();
+  {
+    util::MutexLock lock(mu_);
+    stopping_ = true;
   }
+  work_cv_.notify_all();
+  park_cv_.notify_all();
+  space_cv_.notify_all();
   for (auto& shard : shards_) {
     for (auto& worker : shard->workers) {
       if (worker.joinable()) worker.join();
@@ -376,8 +362,7 @@ void InferenceServer::decommission() {
 }
 
 StatsSnapshot InferenceServer::stats() const {
-  std::vector<const ServerStats*> groups;
-  groups.reserve(shards_.size());
+  std::vector<const ServerStats*> groups{&server_stats_};
   for (const auto& shard : shards_) groups.push_back(&shard->stats);
   return ServerStats::aggregate(groups);
 }

@@ -1,16 +1,23 @@
-// InferenceServer: sharded worker groups + micro-batching request queues,
-// with RCU-style zero-downtime hot swap of the served network.
+// InferenceServer: one bounded request queue per model, drained by
+// sharded worker groups with work-conserving micro-batching and RCU-style
+// zero-downtime hot swap of the served network.
 //
 // Clients submit single samples — rank-1 [features] rows for MLPs, rank-3
 // [C, H, W] images for conv nets — and get a future for the result row.
-// The server runs up to `max_shards` independent worker GROUPS. Each
-// group holds a versioned replica of the compiled network in a
-// util::RcuCell (shard 0 serves the published net itself, shards 1..
-// serve clones built at construction/swap time), its own request queue,
-// and `num_threads` worker threads. Requests route to the first
-// `active_shards` groups round-robin PER SAMPLE SHAPE, so heterogeneous
-// traffic spreads every shape across the active groups instead of
-// pinning one shape to one queue.
+// Every request lands in the server's ONE FIFO queue. The server runs up
+// to `max_shards` worker GROUPS; each holds a versioned replica of the
+// compiled network in a util::RcuCell (shard 0 serves the published net
+// itself, shards 1.. serve clones built at construction/swap time) and
+// `num_threads` workers. The workers of every active group pull from the
+// shared queue, so adding a group adds pullers, never splits a batch.
+//
+// WORK-CONSERVING PICKUP: an idle worker takes the head request plus the
+// run of equal-shape requests queued right behind it, up to `max_batch`,
+// at once — there is no batch window. At low load that is batch 1, so
+// latency is the forward time; under load requests queue while the
+// workers compute and batches fill by themselves. Heterogeneous traffic
+// splits at shape changes. The worker runs the batch through its group's
+// CompiledNet (whose forward is const and thread-safe).
 //
 // HOT SWAP: swap() publishes a new CompiledNet version into every
 // shard's RcuCell. A worker captures the version pointer once per
@@ -22,25 +29,17 @@
 // instead of full-cloning.
 //
 // ADMISSION CONTROL: submit() applies backpressure — it blocks while
-// `queue_capacity` requests are already waiting on the routed shard, and
-// the stall is recorded in that shard's stats. try_submit() never
-// blocks: beyond the per-shard `queue_quota` (capacity when 0) the
-// request is shed and counted in `shed_total`.
+// `queue_capacity` requests are already waiting in the model's queue,
+// and the stall is recorded in the server stats. try_submit() never
+// blocks: beyond the model's `queue_quota` (capacity when 0) the request
+// is shed and counted in `shed_total`.
 //
 // SCALING: shard slots are pre-built up to `max_shards`; scale_to()
-// changes only how many of them receive new traffic (an atomic routing
-// bound), so growing or shrinking a model's serving capacity is
-// wait-free and parked shards simply drain and idle until re-activated.
-//
-// Within a group, workers coalesce queued requests of equal sample shape
-// into [batch, ...] tensors — a batch flushes when it reaches `max_batch`
-// OR when the oldest queued request has waited `max_delay_ms` — and run
-// them through the group's CompiledNet (whose forward is const and
-// thread-safe). Batching amortizes the CSR traversal across requests; the
-// delay bound keeps tail latency under control at low load.
+// changes only how many of them pull from the queue. Parked groups
+// finish the batch they hold and idle with their replica warm; growing
+// wakes them.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <deque>
 #include <functional>
@@ -69,20 +68,21 @@ namespace dstee::serve {
 struct ServerConfig {
   std::size_t num_threads = 2;   ///< batch-executing threads PER shard
   std::size_t num_shards = 1;    ///< initially ACTIVE replica worker groups
-  std::size_t max_batch = 16;    ///< flush when this many requests queue
-  double max_delay_ms = 2.0;     ///< flush when the head waits this long
-  std::size_t queue_capacity = 4096;  ///< per-shard; submit() blocks beyond
+  std::size_t max_batch = 16;    ///< most requests one forward takes
+  std::size_t queue_capacity = 4096;  ///< per model; submit() blocks beyond
   std::size_t max_shards = 0;    ///< scaling headroom; 0 = num_shards
   std::size_t queue_quota = 0;   ///< try_submit() sheds beyond this; 0 =
                                  ///< shed only at queue_capacity
-  /// When set, workers record per-request latency and request/batch
-  /// counts into this registry (labeled `metrics_label`), in addition to
-  /// the internal ServerStats. Must outlive the server.
+  /// When set, workers record per-request latency and queue wait, batch
+  /// sizes and request/batch counts into this registry (labeled
+  /// `metrics_label`), in addition to the internal ServerStats. Must
+  /// outlive the server.
   obs::MetricsRegistry* metrics = nullptr;
   std::string metrics_label;  ///< `model` label on exported metrics
 };
 
-/// Multi-threaded micro-batching front-end over replicated CompiledNets.
+/// Multi-threaded work-conserving batching front-end over replicated
+/// CompiledNets.
 class InferenceServer {
  public:
   /// Builds each shard's replica for a new version being swapped in;
@@ -103,7 +103,7 @@ class InferenceServer {
   InferenceServer(std::shared_ptr<const CompiledNet> net,
                   ServerConfig config);
 
-  /// Stops accepting work, drains the queues, joins workers.
+  /// Stops accepting work, drains the queue, joins workers.
   ~InferenceServer();
 
   InferenceServer(const InferenceServer&) = delete;
@@ -111,14 +111,14 @@ class InferenceServer {
 
   /// Enqueues one sample (rank >= 1, WITHOUT a batch axis: [features] or
   /// [C, H, W]) and returns a future for its output row (rank-1). Blocks
-  /// while the routed shard's queue is full; throws CheckError after
+  /// while the queue is full; throws CheckError after
   /// shutdown() or on a shape mismatch the net can detect up front.
   std::future<tensor::Tensor> submit(tensor::Tensor input);
 
   /// Admission-controlled submit: never blocks. Returns nullopt — and
-  /// counts one shed on the routed shard — when that shard already has
-  /// `queue_quota` (or queue_capacity, whichever bounds first) requests
-  /// waiting. Throws after shutdown(), like submit().
+  /// counts one shed — when the queue already holds `queue_quota` (or
+  /// queue_capacity, whichever bounds first) requests. Throws after
+  /// shutdown(), like submit().
   std::optional<std::future<tensor::Tensor>> try_submit(tensor::Tensor input);
 
   /// Publishes `net` as the serving version on every shard slot (active
@@ -130,17 +130,17 @@ class InferenceServer {
   void swap(std::shared_ptr<const CompiledNet> net,
             const ReplicaFactory& factory = nullptr);
 
-  /// Sets how many shard slots receive new traffic, clamped to
+  /// Sets how many shard slots pull from the queue, clamped to
   /// [1, max_shards]. Returns the resulting active count. Shrinking
-  /// parks the tail shards: they drain their queues and idle, keeping
-  /// their replica warm for a later grow.
+  /// parks the tail shards: they finish the batch they hold and idle,
+  /// keeping their replica warm for a later grow.
   std::size_t scale_to(std::size_t shards);
 
   std::size_t num_active_shards() const {
     return active_shards_.load(std::memory_order_acquire);
   }
 
-  /// Total queued (not yet batched) requests across all shard slots.
+  /// Queued (not yet batched) requests.
   std::size_t queue_depth() const;
 
   /// Number of swap() publications so far.
@@ -157,14 +157,16 @@ class InferenceServer {
   /// shutdown().
   void decommission();
 
-  /// Server-wide counters aggregated across all shards.
+  /// Server-wide view: every shard's batches and latencies plus the
+  /// queue's peak, backpressure stalls, sheds and swaps.
   StatsSnapshot stats() const;
 
-  /// One shard's counters (routing balance, per-group tails).
+  /// One shard's batches and latency tail (how the groups share the
+  /// queue). Queue-level counters are server-wide, see stats().
   StatsSnapshot shard_stats(std::size_t shard) const;
 
   /// Shard SLOTS (the scaling ceiling); see num_active_shards() for how
-  /// many currently receive traffic.
+  /// many currently pull from the queue.
   std::size_t num_shards() const { return shards_.size(); }
 
   const ServerConfig& config() const { return config_; }
@@ -179,22 +181,13 @@ class InferenceServer {
     std::uint64_t trace_id = 0;
   };
 
-  /// One worker group: a versioned replica, a queue, workers and stats.
-  /// Lock discipline: `mu` guards the queue and the stopping flag; `net`
-  /// is an RcuCell (workers capture a version per batch, swap publishes
-  /// new ones); `stats` is internally synchronized; `workers` is touched
-  /// only by the constructing/joining thread (never by the workers
-  /// themselves).
+  /// One worker group: a versioned replica, workers and stats. `net` is
+  /// an RcuCell (workers capture a version per batch, swap publishes new
+  /// ones); `stats` is internally synchronized; `workers` is touched only
+  /// by the constructing/joining thread (never by the workers themselves).
   struct Shard {
     util::RcuCell<CompiledNet> net;  ///< current version for this shard
-
-    util::Mutex mu;
-    util::CondVar queue_cv;  ///< signals work / shutdown
-    util::CondVar space_cv;  ///< signals queue room
-    std::deque<Request> queue DSTEE_GUARDED_BY(mu);
-    bool stopping DSTEE_GUARDED_BY(mu) = false;
-
-    ServerStats stats;
+    ServerStats stats;               ///< this group's batches and latencies
     // Shard workers ARE the serving inter-op layer (long-lived batchers,
     // not pool tasks): constructed in the InferenceServer ctor, joined in
     // shutdown(), never touched in between.
@@ -202,50 +195,54 @@ class InferenceServer {
     std::vector<std::thread> workers;
   };
 
-  /// Round-robin-by-shape routing target for the next request, over the
-  /// currently active shards.
-  Shard& route(const tensor::Shape& sample_shape);
-
-  /// Shared tail of submit()/try_submit(): enqueue (caller holds
-  /// shard.mu) and hand back the future.
-  std::future<tensor::Tensor> enqueue(Shard& shard, tensor::Tensor input)
-      DSTEE_REQUIRES(shard.mu);
+  /// Shared tail of submit()/try_submit(): enqueue and hand back the
+  /// future.
+  std::future<tensor::Tensor> enqueue(tensor::Tensor input)
+      DSTEE_REQUIRES(mu_);
 
   void validate_sample(const tensor::Tensor& input) const;
 
-  void worker_loop(Shard& shard);
-  /// Pops the next micro-batch from `shard` (requests of equal sample
-  /// shape, up to max_batch, honoring the delay window). Empty result
-  /// means shutdown.
-  std::vector<Request> next_batch(Shard& shard);
+  void worker_loop(std::size_t shard);
+  /// Blocks until `shard` is active and the queue is non-empty, then pops
+  /// the head request and the equal-shape run behind it, up to
+  /// max_batch. Empty result means shutdown with the queue drained.
+  std::vector<Request> next_batch(std::size_t shard);
 
   ServerConfig config_;
   std::size_t input_features_ = 0;  ///< from the source net, for validation
   std::vector<std::unique_ptr<Shard>> shards_;
 
+  // The model's one request queue. `mu_` guards it, the stopping flag and
+  // writes of active_shards_. Active workers wait on work_cv_, parked
+  // ones on park_cv_, so an enqueue's notify_one wakes a worker that may
+  // take the request.
+  mutable util::Mutex mu_;
+  util::CondVar work_cv_;   ///< signals work / shutdown to active workers
+  util::CondVar park_cv_;   ///< signals activation / shutdown when parked
+  util::CondVar space_cv_;  ///< signals queue room to blocked submitters
+  std::deque<Request> queue_ DSTEE_GUARDED_BY(mu_);
+  bool stopping_ DSTEE_GUARDED_BY(mu_) = false;
+  /// Shards [0, active) pull from the queue. Stored under mu_ (a waiting
+  /// worker cannot miss a change), read lock-free by num_active_shards().
+  std::atomic<std::size_t> active_shards_{1};
+
+  /// Queue peak, submit() stalls, sheds and swaps; batches and latencies
+  /// are recorded per shard.
+  ServerStats server_stats_;
+
   // Optional obs export, resolved once in the constructor (metric
   // objects are pointer-stable for the registry's lifetime); null when
   // config_.metrics is null. The update path is lock-free either way.
   obs::Histogram* latency_hist_ = nullptr;
+  obs::Histogram* queue_wait_hist_ = nullptr;
+  obs::Histogram* batch_size_hist_ = nullptr;
   obs::Counter* requests_ctr_ = nullptr;
   obs::Counter* batches_ctr_ = nullptr;
-
-  /// Routing bound: shards_[0 .. active) receive new traffic. Release
-  /// store in scale_to(), acquire load in route().
-  std::atomic<std::size_t> active_shards_{1};
 
   /// Serializes swap() publications so every shard observes versions in
   /// the same order (workers only ever load).
   mutable util::Mutex swap_mu_;
   std::size_t swap_epoch_ DSTEE_GUARDED_BY(swap_mu_) = 0;
-
-  /// Round-robin cursors, one per shape hash bucket: routing costs one
-  /// relaxed fetch_add — no global lock, no allocation — so concurrent
-  /// submitters never serialize before reaching their shard queue. Two
-  /// shapes landing in one bucket share a cursor, which still rotates
-  /// fairly; it just coarsens "per shape" to "per bucket".
-  static constexpr std::size_t kRouteBuckets = 64;
-  std::array<std::atomic<std::size_t>, kRouteBuckets> route_cursors_{};
 };
 
 }  // namespace dstee::serve

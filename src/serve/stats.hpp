@@ -15,8 +15,9 @@
 // in the window yet. Percentiles are over the recent window anyway, so
 // the skew is invisible in practice.
 //
-// A sharded server keeps one ServerStats per worker group and derives the
-// server-wide view with aggregate().
+// A sharded server keeps one ServerStats per worker group (batches,
+// latencies) plus one for its queue (peak, stalls, sheds, swaps) and
+// derives the server-wide view with aggregate().
 #pragma once
 
 #include <atomic>
@@ -88,18 +89,18 @@ class ServerStats {
   void record_blocked_ms(double ms);
 
   /// Counts one request rejected by admission control (a try_submit()
-  /// that found the routed queue at its quota). Lock-free (relaxed add).
+  /// that found the queue at its quota). Lock-free (relaxed add).
   void record_shed();
 
   /// Counts one hot-swap publication. A sharded server records this once
-  /// per swap on its first shard's recorder, so the aggregate view counts
+  /// per swap on its queue-level recorder, so the aggregate view counts
   /// swaps, not per-replica publishes. Lock-free (relaxed add).
   void record_swap();
 
   /// Aggregates everything recorded so far.
   StatsSnapshot snapshot() const;
 
-  /// Server-wide view over per-shard recorders: counts and blocked time
+  /// Server-wide view over several recorders: counts and blocked time
   /// sum, queue peak is the max across groups, elapsed is the longest
   /// clock, and percentiles are computed over the union of the groups'
   /// latency windows.

@@ -42,13 +42,14 @@ bool ArgParser::parse(int argc, const char* const* argv) {
     auto it = flags_.find(token);
     check(it != flags_.end(), "unknown flag: --" + token);
     if (!inline_value) {
-      // A boolean flag given bare (at the end, or followed by another
-      // --flag) means true; any flag otherwise takes the next token.
-      if (is_boolean(it->second) &&
-          (i + 1 == argc || starts_with(argv[i + 1], "--"))) {
+      // A flag given bare (at the end, or followed by another --flag)
+      // means true when boolean and is an error otherwise: the next
+      // --flag is never taken as a value (write --flag=--x for that).
+      const bool bare = i + 1 == argc || starts_with(argv[i + 1], "--");
+      if (is_boolean(it->second) && bare) {
         value = "true";
       } else {
-        check(i + 1 < argc, "flag --" + token + " is missing a value");
+        check(!bare, "flag --" + token + " is missing a value");
         value = argv[++i];
       }
     }

@@ -8,10 +8,16 @@
 // and the old version is destroyed when its last reference drops. There
 // is no drain, no pause, and no reader-visible lock across the swap.
 //
-// Where the standard library provides std::atomic<std::shared_ptr<T>>
-// (libstdc++ >= 12) we use it directly; elsewhere we fall back to a
-// mutex-guarded pointer, which preserves the contract (load/store are
-// tiny critical sections) at the cost of readers sharing one lock.
+// The pointer sits behind a util::Mutex held only for the copy (load) or
+// the swap (store); a displaced version is released after the lock
+// drops. std::atomic<std::shared_ptr> is deliberately not used:
+// libstdc++ 12's load() reads the pointer under its internal lock bit
+// and then clears the bit with a RELAXED fetch_sub, so the read does not
+// happen-before the next store's write — a data race by the C++ memory
+// model, which ThreadSanitizer reports on every hot swap under load. The
+// mutex makes publish/observe race-free by construction and keeps it
+// checkable under TSan, for one mostly uncontended lock per load (a
+// serving worker loads once per micro-batch).
 //
 // The project lint (tools/dstee_lint, rule `hot-swap-rcu`) requires
 // hot-swapped CompiledNet members to live in one of these rather than in
@@ -19,17 +25,13 @@
 // bypassed with a plain (racy) pointer read.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <utility>
-#include <version>
 
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace dstee::util {
-
-#if defined(__cpp_lib_atomic_shared_ptr) && __cpp_lib_atomic_shared_ptr >= 201711L
 
 template <typename T>
 class RcuCell {
@@ -40,54 +42,25 @@ class RcuCell {
 
   /// Snapshot of the current version. Never null once published; callers
   /// keep the returned pointer for the duration of their work.
-  std::shared_ptr<const T> load() const { return ptr_.load(std::memory_order_acquire); }
-
-  /// Publishes a new version. The old version retires when the last
-  /// reader that captured it drops its reference.
-  void store(std::shared_ptr<const T> next) {
-    ptr_.store(std::move(next), std::memory_order_release);
-  }
-
-  /// store() that also hands back the displaced version.
-  std::shared_ptr<const T> exchange(std::shared_ptr<const T> next) {
-    return ptr_.exchange(std::move(next), std::memory_order_acq_rel);
-  }
-
- private:
-  std::atomic<std::shared_ptr<const T>> ptr_;
-};
-
-#else  // no std::atomic<std::shared_ptr>: mutex-guarded fallback
-
-template <typename T>
-class RcuCell {
- public:
-  RcuCell() = default;
-  explicit RcuCell(std::shared_ptr<const T> initial)
-      : ptr_(std::move(initial)) {}
-
   std::shared_ptr<const T> load() const {
     MutexLock lock(mu_);
     return ptr_;
   }
 
+  /// Publishes a new version. The old version retires when the last
+  /// reader that captured it drops its reference — never under the lock.
   void store(std::shared_ptr<const T> next) {
-    MutexLock lock(mu_);
-    ptr_ = std::move(next);
-  }
-
-  std::shared_ptr<const T> exchange(std::shared_ptr<const T> next) {
-    MutexLock lock(mu_);
-    ptr_.swap(next);
-    return next;  // the displaced version
+    {
+      MutexLock lock(mu_);
+      ptr_.swap(next);
+    }
+    // `next` now holds the displaced version and drops it here.
   }
 
  private:
   mutable Mutex mu_;
   std::shared_ptr<const T> ptr_ DSTEE_GUARDED_BY(mu_);
 };
-
-#endif
 
 /// Wraps an object the caller guarantees outlives every observer into a
 /// non-owning shared_ptr (aliasing constructor with an empty control

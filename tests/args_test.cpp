@@ -105,6 +105,34 @@ TEST(Args, ErrorsOnMissingValue) {
   EXPECT_THROW(parse(p2, {"--needed", "x", "--count"}), util::CheckError);
 }
 
+TEST(Args, ValuedFlagNeverSwallowsTheNextFlag) {
+  // A valued flag followed by another --flag is missing its value; the
+  // next flag is not consumed as one (no pass named "--smoke", no
+  // metrics file named "--smoke").
+  const auto tool_parser = [] {
+    util::ArgParser p("tool");
+    p.add_flag("passes", "pass spec", "")
+        .add_flag("metrics-out", "metrics path", "")
+        .add_flag("smoke", "smoke run", "false");
+    return p;
+  };
+  auto p = tool_parser();
+  EXPECT_THROW(parse(p, {"--passes", "--smoke"}), util::CheckError);
+  auto p2 = tool_parser();
+  EXPECT_THROW(parse(p2, {"--metrics-out", "--smoke"}), util::CheckError);
+  auto p3 = make_parser();
+  EXPECT_THROW(parse(p3, {"--needed", "--verbose"}), util::CheckError);
+  // The inline form still passes a literal value that starts with --.
+  auto p4 = tool_parser();
+  EXPECT_EQ(parse(p4, {"--metrics-out=--smoke", "--smoke"}), 1);
+  EXPECT_EQ(p4.get_string("metrics-out"), "--smoke");
+  EXPECT_TRUE(p4.get_bool("smoke"));
+  // A negative number is a value, not a flag.
+  auto p5 = make_parser();
+  EXPECT_EQ(parse(p5, {"--needed", "x", "--rate", "-0.5"}), 1);
+  EXPECT_DOUBLE_EQ(p5.get_double("rate"), -0.5);
+}
+
 TEST(Args, ErrorsOnMissingRequired) {
   auto p = make_parser();
   EXPECT_THROW(parse(p, {"--count", "4"}), util::CheckError);

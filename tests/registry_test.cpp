@@ -98,6 +98,30 @@ tensor::Tensor expected_row(std::uint64_t seed, const tensor::Tensor& sample,
   return out.reshaped(tensor::Shape({out.numel()}));
 }
 
+/// Registers testing::any_size_conv_net(seed) (dense) under `name`: its
+/// heavy image keeps a worker busy, so a test can build a standing queue.
+void add_conv_to(serve::ModelRegistry& registry, const std::string& name,
+                 std::uint64_t seed, serve::ModelOptions options = {}) {
+  registry.add_model(name, testing::any_size_conv_net(seed), nullptr,
+                     std::move(options));
+}
+
+/// What add_conv_to's model of seed `seed` answers for `sample`.
+tensor::Tensor expected_conv_row(std::uint64_t seed,
+                                 const tensor::Tensor& sample) {
+  const auto net =
+      serve::CompiledNet::compile(*testing::any_size_conv_net(seed));
+  const tensor::Tensor out =
+      net.forward(sample.reshaped(sample.shape().prepended(1)));
+  return out.reshaped(tensor::Shape({out.numel()}));
+}
+
+/// Spins until a worker of `name` has taken everything queued so far.
+void wait_until_taken(const serve::ModelRegistry& registry,
+                      const std::string& name) {
+  while (registry.queue_depth(name) > 0) std::this_thread::yield();
+}
+
 TEST(Registry, ServesTwoModelsTheirOwnAnswers) {
   serve::ModelRegistry registry;
   SeededModel::add_to(registry, "a", 5);
@@ -143,7 +167,6 @@ TEST(Registry, HotSwapUnderLoadDropsNothingAndServesExactlyOneVersion) {
   mopts.server.num_threads = 2;
   mopts.server.num_shards = 2;
   mopts.server.max_batch = 8;
-  mopts.server.max_delay_ms = 0.2;
   serve::ModelRegistry registry;
   SeededModel::add_to(registry, "m", kSeed, mopts);
 
@@ -223,31 +246,36 @@ TEST(Registry, DeltaSwapUpdatesStateHashAndAnswers) {
 }
 
 TEST(Registry, AdmissionControlShedsBeyondQuota) {
+  // The worker runs a heavy image while a burst arrives behind it: the
+  // model's queue holds at most the quota, the rest is shed, and no
+  // request vanishes.
   serve::ModelOptions mopts;
   mopts.server.num_threads = 1;
-  mopts.server.max_batch = 64;
-  mopts.server.max_delay_ms = 1000.0;  // the queue builds, nothing flushes
+  mopts.server.max_batch = 4;
   mopts.server.queue_quota = 4;
   serve::ModelRegistry registry;
-  SeededModel::add_to(registry, "m", 5, mopts);
+  add_conv_to(registry, "m", 5, mopts);
 
   std::vector<std::future<tensor::Tensor>> accepted;
   std::size_t shed = 0;
   for (int i = 0; i < 20; ++i) {
-    auto f = registry.try_submit("m", random_tensor(tensor::Shape({12}), i));
+    auto f = registry.try_submit(
+        "m", i == 0 ? testing::heavy_image() : testing::light_image(i));
     if (f) {
       accepted.push_back(std::move(*f));
     } else {
       ++shed;
     }
+    if (i == 0) wait_until_taken(registry, "m");
   }
-  EXPECT_GE(shed, 1u);  // quota 4 cannot absorb a burst of 20
+  EXPECT_GE(shed, 1u);  // quota 4 cannot absorb a burst of 19
   for (auto& f : accepted) {
-    EXPECT_EQ(f.get().numel(), 5u);  // everything accepted completes
+    EXPECT_EQ(f.get().numel(), 16u);  // everything accepted completes
   }
   registry.shutdown();
   const serve::StatsSnapshot s = registry.stats("m");
   EXPECT_EQ(s.shed_total, shed);
+  EXPECT_LE(s.queue_peak, 4u);
   EXPECT_EQ(s.requests + s.shed_total, 20u);  // no request vanished
 }
 
@@ -312,7 +340,6 @@ TEST(Registry, AutoscalerGrowsUnderQueueBuildup) {
   mopts.server.num_shards = 1;
   mopts.server.max_shards = 3;
   mopts.server.max_batch = 64;
-  mopts.server.max_delay_ms = 50.0;  // slow flush: the queue builds
   mopts.autoscaler.enabled = true;
   mopts.autoscaler.interval_ms = 5.0;
   mopts.autoscaler.queue_high = 2.0;
@@ -320,12 +347,14 @@ TEST(Registry, AutoscalerGrowsUnderQueueBuildup) {
   // to observe the grown state no matter how the polls interleave.
   mopts.autoscaler.shrink_patience = 100000;
   serve::ModelRegistry registry;
-  SeededModel::add_to(registry, "m", 5, mopts);
+  add_conv_to(registry, "m", 5, mopts);
 
+  // Every 8th request is a heavy image; the light ones queue behind each
+  // heavy while the single worker runs it.
   std::vector<std::future<tensor::Tensor>> futures;
   for (int i = 0; i < 48; ++i) {
-    futures.push_back(
-        registry.submit("m", random_tensor(tensor::Shape({12}), i)));
+    futures.push_back(registry.submit(
+        "m", i % 8 == 0 ? testing::heavy_image() : testing::light_image(i)));
   }
   // The poller needs a couple of intervals to observe the depth and grow.
   const auto deadline =
@@ -335,7 +364,7 @@ TEST(Registry, AutoscalerGrowsUnderQueueBuildup) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_GE(registry.num_active_shards("m"), 2u);
-  for (auto& f : futures) EXPECT_EQ(f.get().numel(), 5u);
+  for (auto& f : futures) EXPECT_EQ(f.get().numel(), 16u);
   registry.shutdown();
 }
 
@@ -374,17 +403,23 @@ TEST(Registry, RemoveModelEvictsCountsAndAllowsReAdd) {
 TEST(Registry, RemoveModelDrainsInFlightRequests) {
   // Eviction decommissions via server shutdown, which drains the queue:
   // every request submitted BEFORE remove_model completes with the right
-  // answer — eviction sheds capacity, not accepted work.
+  // answer — eviction sheds capacity, not accepted work. A heavy image
+  // keeps the worker busy so the light requests are still queued when
+  // the model is removed.
   serve::ModelOptions mopts;
-  mopts.server.max_delay_ms = 20.0;  // slow flush so a queue builds
+  mopts.server.num_threads = 1;
   mopts.server.max_batch = 4;
   serve::ModelRegistry registry;
-  SeededModel::add_to(registry, "a", 5, mopts);
-  const auto x = random_tensor(tensor::Shape({12}), 8);
-  const auto expected = expected_row(5, x, false);
+  add_conv_to(registry, "a", 5, mopts);
+  const auto x = testing::light_image(8);
+  const auto expected = expected_conv_row(5, x);
+  auto heavy = registry.submit("a", testing::heavy_image());
+  wait_until_taken(registry, "a");
   std::vector<std::future<tensor::Tensor>> futures;
   for (int i = 0; i < 32; ++i) futures.push_back(registry.submit("a", x));
   registry.remove_model("a");
+  EXPECT_TRUE(heavy.get().equals(
+      expected_conv_row(5, testing::heavy_image())));
   for (auto& f : futures) EXPECT_TRUE(f.get().equals(expected));
   registry.shutdown();
 }

@@ -326,7 +326,6 @@ TEST(Server, ServesConvSamplesBatchedByShape) {
   serve::ServerConfig cfg;
   cfg.num_threads = 2;
   cfg.max_batch = 4;
-  cfg.max_delay_ms = 0.5;
   serve::InferenceServer server(net, cfg);
 
   std::vector<std::future<tensor::Tensor>> futures;
@@ -377,15 +376,14 @@ TEST(CompiledNet, ResNetCloneMatchesBitForBit) {
 TEST(Server, ShardedAnswersBitIdenticalToSingleShard) {
   CompiledHarness h(0.8);
   const auto net = serve::CompiledNet::compile(h.model, &h.smodel);
-  // Shard replicas and the per-shape routing must be invisible to
-  // clients: the CSR row reduction is batch-independent, so every shard
-  // count returns identical bits for the same sample.
+  // Shard replicas and the shared queue must be invisible to clients:
+  // the CSR row reduction is batch-independent, so every shard count
+  // returns identical bits for the same sample.
   for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
     serve::ServerConfig cfg;
     cfg.num_threads = 2;
     cfg.num_shards = shards;
     cfg.max_batch = 4;
-    cfg.max_delay_ms = 0.5;
     serve::InferenceServer server(net, cfg);
     std::vector<std::future<tensor::Tensor>> futures;
     for (int i = 0; i < 12; ++i) {
@@ -404,40 +402,61 @@ TEST(Server, ShardedAnswersBitIdenticalToSingleShard) {
   }
 }
 
-TEST(Server, ShardStatsSumToAggregateAndRoutingSpreadsLoad) {
-  CompiledHarness h(0.5);
-  const auto net = serve::CompiledNet::compile(h.model, &h.smodel);
+/// Spins until a worker has taken everything queued so far.
+void wait_until_taken(const serve::InferenceServer& server) {
+  while (server.queue_depth() > 0) std::this_thread::yield();
+}
+
+TEST(Server, ShardStatsSumToAggregateAndParkedShardsServeNothing) {
+  // Two shard slots, one active: every worker pulls from one queue, but
+  // a parked group's workers do not pull at all — even from a standing
+  // queue. scale_to(2) wakes them.
+  const auto seq = testing::any_size_conv_net(31);
+  const auto net = serve::CompiledNet::compile(*seq);
   serve::ServerConfig cfg;
   cfg.num_threads = 1;
-  cfg.num_shards = 2;
+  cfg.num_shards = 1;
+  cfg.max_shards = 2;
   cfg.max_batch = 4;
-  cfg.max_delay_ms = 0.5;
   serve::InferenceServer server(net, cfg);
   EXPECT_EQ(server.num_shards(), 2u);
+  EXPECT_EQ(server.num_active_shards(), 1u);
 
   std::vector<std::future<tensor::Tensor>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(
-        server.submit(random_tensor(tensor::Shape({12}), 700 + i)));
+  futures.push_back(server.submit(testing::heavy_image()));
+  wait_until_taken(server);
+  for (int i = 0; i < 6; ++i) {
+    futures.push_back(server.submit(testing::light_image(700 + i)));
   }
-  for (auto& f : futures) EXPECT_EQ(f.get().numel(), 5u);
+  for (auto& f : futures) EXPECT_EQ(f.get().numel(), 16u);
+  futures.clear();
+  EXPECT_EQ(server.shard_stats(1).batches, 0u);  // parked: served nothing
+
+  EXPECT_EQ(server.scale_to(2), 2u);
+  // A heavy sample occupies one worker; the light one behind it is then
+  // the other group's to take. Repeat until shard 1 has served (a wake-up
+  // can lose the race to a finished forward).
+  for (int round = 0; round < 50 && server.shard_stats(1).batches == 0;
+       ++round) {
+    auto heavy = server.submit(testing::heavy_image());
+    wait_until_taken(server);
+    auto light = server.submit(testing::light_image(800 + round));
+    EXPECT_EQ(light.get().numel(), 16u);
+    EXPECT_EQ(heavy.get().numel(), 16u);
+  }
   server.shutdown();
+  EXPECT_GE(server.shard_stats(0).batches, 1u);
+  EXPECT_GE(server.shard_stats(1).batches, 1u);
 
   const auto total = server.stats();
-  EXPECT_EQ(total.requests, 16u);
-  std::size_t sum = 0, batches = 0;
+  std::size_t requests = 0, batches = 0;
   for (std::size_t s = 0; s < server.num_shards(); ++s) {
-    const auto ss = server.shard_stats(s);
-    sum += ss.requests;
-    batches += ss.batches;
-    // Round-robin-by-shape: one shape, so the split is exactly even.
-    EXPECT_EQ(ss.requests, 8u);
-    EXPECT_GE(ss.queue_peak, 1u);
-    EXPECT_GE(ss.blocked_ms, 0.0);
+    requests += server.shard_stats(s).requests;
+    batches += server.shard_stats(s).batches;
   }
-  EXPECT_EQ(sum, total.requests);
+  EXPECT_EQ(requests, total.requests);
   EXPECT_EQ(batches, total.batches);
-  EXPECT_GE(total.queue_peak, 1u);
+  EXPECT_GE(total.queue_peak, 6u);  // the standing queue behind the heavy
   EXPECT_THROW(server.shard_stats(2), util::CheckError);
 }
 
@@ -448,7 +467,6 @@ TEST(Server, BackpressureBlockedTimeIsRecorded) {
   cfg.num_threads = 1;
   cfg.max_batch = 1;
   cfg.queue_capacity = 1;  // every enqueue beyond the first must wait
-  cfg.max_delay_ms = 0.0;
   serve::InferenceServer server(net, cfg);
   std::vector<std::future<tensor::Tensor>> futures;
   for (int i = 0; i < 32; ++i) {
@@ -520,47 +538,97 @@ TEST(ServerStats, SnapshotAndAggregateNeverBlockCounterRecording) {
   EXPECT_EQ(final_agg.swap_count, kWriters * (kBatchesPerWriter / 10));
 }
 
-TEST(Server, FlushOnFullBatch) {
-  CompiledHarness h(0.5);
-  const auto net = serve::CompiledNet::compile(h.model, &h.smodel);
+TEST(Server, StandingQueueIsTakenUpToMaxBatchAtOnce) {
+  // While the only worker runs a heavy sample, ten light ones queue
+  // behind it; the worker then takes them max_batch at a time: 4, 4, 2.
+  const auto seq = testing::any_size_conv_net(32);
+  const auto net = serve::CompiledNet::compile(*seq);
+  obs::MetricsRegistry metrics;
   serve::ServerConfig cfg;
   cfg.num_threads = 1;
   cfg.max_batch = 4;
-  cfg.max_delay_ms = 60000.0;  // never flush on time — only on fill
+  cfg.metrics = &metrics;
+  cfg.metrics_label = "conv";
   serve::InferenceServer server(net, cfg);
 
+  auto heavy = server.submit(testing::heavy_image());
+  wait_until_taken(server);
   std::vector<std::future<tensor::Tensor>> futures;
-  for (int i = 0; i < 4; ++i) {
-    futures.push_back(
-        server.submit(random_tensor(tensor::Shape({12}), 40 + i)));
+  for (int i = 0; i < 10; ++i) {
+    futures.push_back(server.submit(testing::light_image(40 + i)));
   }
-  for (auto& f : futures) EXPECT_EQ(f.get().numel(), 5u);
+  for (int i = 0; i < 10; ++i) {
+    const auto x = testing::light_image(40 + i);
+    const auto expected = net.forward(x.reshaped(x.shape().prepended(1)));
+    EXPECT_TRUE(futures[static_cast<std::size_t>(i)].get().equals(
+        expected.reshaped(tensor::Shape({16}))));
+  }
+  EXPECT_EQ(heavy.get().numel(), 16u);
   server.shutdown();
   const auto stats = server.stats();
-  EXPECT_EQ(stats.requests, 4u);
-  EXPECT_EQ(stats.batches, 1u);  // one full micro-batch, no timeout needed
-  EXPECT_DOUBLE_EQ(stats.mean_batch_size, 4.0);
+  EXPECT_EQ(stats.requests, 11u);
+  EXPECT_EQ(stats.batches, 4u);  // the heavy alone, then 4 + 4 + 2
+  EXPECT_EQ(stats.queue_peak, 10u);
+  const obs::Histogram& sizes = metrics.histogram("dstee_batch_size", "conv");
+  EXPECT_EQ(sizes.count(), 4u);
+  EXPECT_EQ(sizes.bucket_count(obs::Histogram::bucket_index(4.0)), 2u);
 }
 
-TEST(Server, FlushOnTimeout) {
+TEST(Server, SequentialSubmitsToAnIdleServerRunAtBatchOne) {
+  // No batch window: a request that finds a worker idle is served at
+  // once, alone, however large max_batch is.
   CompiledHarness h(0.5);
   const auto net = serve::CompiledNet::compile(h.model, &h.smodel);
   serve::ServerConfig cfg;
-  cfg.num_threads = 1;
-  cfg.max_batch = 64;       // far more than we submit
-  cfg.max_delay_ms = 5.0;   // so only the deadline can flush
+  cfg.num_threads = 2;
+  cfg.max_batch = 64;
   serve::InferenceServer server(net, cfg);
-
-  std::vector<std::future<tensor::Tensor>> futures;
-  for (int i = 0; i < 3; ++i) {
-    futures.push_back(
-        server.submit(random_tensor(tensor::Shape({12}), 50 + i)));
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(
+        server.submit(random_tensor(tensor::Shape({12}), 50 + i)).get().numel(),
+        5u);
   }
-  for (auto& f : futures) EXPECT_EQ(f.get().numel(), 5u);  // must not hang
   server.shutdown();
   const auto stats = server.stats();
-  EXPECT_EQ(stats.requests, 3u);
-  EXPECT_GE(stats.batches, 1u);
+  EXPECT_EQ(stats.requests, 20u);
+  EXPECT_EQ(stats.batches, 20u);
+  EXPECT_DOUBLE_EQ(stats.mean_batch_size, 1.0);
+}
+
+TEST(Server, TrySubmitBurstKeepsTheQueueWithinQuota) {
+  // An open-loop burst far beyond what the server can take: the queue
+  // never holds more than the quota, and every arrival is either served
+  // or shed — exactly.
+  const auto seq = testing::any_size_conv_net(33);
+  const auto net = serve::CompiledNet::compile(*seq);
+  serve::ServerConfig cfg;
+  cfg.num_threads = 1;
+  cfg.num_shards = 2;
+  cfg.max_batch = 2;
+  cfg.queue_quota = 4;
+  serve::InferenceServer server(net, cfg);
+
+  constexpr std::size_t kArrivals = 200;
+  std::vector<std::future<tensor::Tensor>> accepted;
+  std::size_t shed = 0;
+  for (std::size_t i = 0; i < kArrivals; ++i) {
+    // Each heavy pair occupies both workers, so the lights behind it
+    // arrive while nothing drains the queue.
+    auto f = server.try_submit(i % 50 < 2 ? testing::heavy_image()
+                                          : testing::light_image(i));
+    if (f) {
+      accepted.push_back(std::move(*f));
+    } else {
+      ++shed;
+    }
+  }
+  for (auto& f : accepted) EXPECT_EQ(f.get().numel(), 16u);
+  server.shutdown();
+  const auto stats = server.stats();
+  EXPECT_GE(shed, 1u);
+  EXPECT_EQ(stats.shed_total, shed);
+  EXPECT_LE(stats.queue_peak, cfg.queue_quota);
+  EXPECT_EQ(stats.requests + stats.shed_total, kArrivals);
 }
 
 TEST(Server, ConcurrentClientsGetTheirOwnAnswers) {
@@ -569,7 +637,6 @@ TEST(Server, ConcurrentClientsGetTheirOwnAnswers) {
   serve::ServerConfig cfg;
   cfg.num_threads = 4;
   cfg.max_batch = 8;
-  cfg.max_delay_ms = 0.5;
   serve::InferenceServer server(net, cfg);
 
   constexpr std::size_t kClients = 6;
@@ -607,7 +674,6 @@ TEST(Server, ShutdownDrainsPendingRequests) {
   serve::ServerConfig cfg;
   cfg.num_threads = 2;
   cfg.max_batch = 4;
-  cfg.max_delay_ms = 10000.0;  // only shutdown can flush the tail
   serve::InferenceServer server(net, cfg);
 
   std::vector<std::future<tensor::Tensor>> futures;
@@ -1865,7 +1931,6 @@ TEST(Server, TraceSpansTileRequestLatencyExactly) {
   serve::ServerConfig cfg;
   cfg.num_threads = 2;
   cfg.max_batch = 4;
-  cfg.max_delay_ms = 0.5;
   serve::InferenceServer server(net, cfg);
   std::vector<std::future<tensor::Tensor>> futures;
   for (int i = 0; i < 8; ++i) {
@@ -1920,7 +1985,6 @@ TEST(Server, MetricsRegistryRecordsRequestsAndLatency) {
   serve::ServerConfig cfg;
   cfg.num_threads = 2;
   cfg.max_batch = 4;
-  cfg.max_delay_ms = 0.5;
   cfg.metrics = &registry;
   cfg.metrics_label = "m0";
   serve::InferenceServer server(net, cfg);
@@ -1939,6 +2003,11 @@ TEST(Server, MetricsRegistryRecordsRequestsAndLatency) {
   obs::Histogram& lat = registry.histogram("dstee_request_latency_ms", "m0");
   EXPECT_EQ(lat.count(), 6u);
   EXPECT_GE(registry.counter("dstee_batches_total", "m0").value(), 1u);
+  // One batch-size sample per batch; their sum is the request count.
+  obs::Histogram& sizes = registry.histogram("dstee_batch_size", "m0");
+  EXPECT_EQ(sizes.count(), registry.counter("dstee_batches_total", "m0").value());
+  EXPECT_DOUBLE_EQ(sizes.sum(), 6.0);
+  EXPECT_EQ(registry.histogram("dstee_queue_wait_ms", "m0").count(), 6u);
 
   // The StatsSnapshot bridge lands the same numbers as labeled gauges.
   serve::export_stats_metrics(registry, "m0", snapshot);

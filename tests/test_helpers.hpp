@@ -6,9 +6,14 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "nn/activations.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/module.hpp"
+#include "nn/pooling.hpp"
+#include "nn/sequential.hpp"
 #include "tensor/init.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -23,6 +28,33 @@ inline tensor::Tensor random_tensor(tensor::Shape shape,
   util::Rng rng(seed);
   tensor::fill_normal(t, rng, 0.0f, stddev);
   return t;
+}
+
+/// A dense conv net (3x3 conv 3→16, ReLU, 3x3 conv 16→16, ReLU, global
+/// average pool) that takes any [3, H, W] sample and answers a [16] row.
+/// Its cost grows with H·W, so one large image keeps a server worker busy
+/// while a test queues small images behind it: a standing queue without
+/// any timing knob.
+inline std::unique_ptr<nn::Sequential> any_size_conv_net(std::uint64_t seed) {
+  util::Rng rng(seed);
+  auto net = std::make_unique<nn::Sequential>();
+  net->emplace<nn::Conv2d>(3, 16, 3, 1, 1, rng);
+  net->emplace<nn::ReLU>();
+  net->emplace<nn::Conv2d>(16, 16, 3, 1, 1, rng);
+  net->emplace<nn::ReLU>();
+  net->emplace<nn::GlobalAvgPool>();
+  net->set_training(false);
+  return net;
+}
+
+/// The large sample that keeps an any_size_conv_net worker busy.
+inline tensor::Tensor heavy_image() {
+  return random_tensor(tensor::Shape({3, 160, 160}), 7);
+}
+
+/// A small sample for any_size_conv_net.
+inline tensor::Tensor light_image(std::uint64_t seed) {
+  return random_tensor(tensor::Shape({3, 4, 4}), seed);
 }
 
 /// Scalar probe loss L = Σ p_i · y_i with fixed random projection p, so a

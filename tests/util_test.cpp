@@ -1,15 +1,20 @@
 // Unit tests for the util module: checks, RNG, strings, CSV, tables, env.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/csv.hpp"
 #include "util/env.hpp"
+#include "util/rcu.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
@@ -293,6 +298,44 @@ TEST(Timer, MeasuresNonNegativeTime) {
   EXPECT_GE(t.seconds(), 0.0);
   t.reset();
   EXPECT_GE(t.millis(), 0.0);
+}
+
+TEST(RcuCell, ConcurrentLoadsSeeWholePublishedVersionsInOrder) {
+  // Readers load while a writer publishes versions 1..N. Every snapshot
+  // must be a fully built version (all fields agree) and, per reader,
+  // versions never go back. Under the TSan CI job this also checks that
+  // publish/observe is race-free.
+  struct Version {
+    explicit Version(int v) { values.assign(8, v); }
+    std::vector<int> values;
+  };
+  util::RcuCell<Version> cell(std::make_shared<const Version>(0));
+  constexpr int kVersions = 2000;
+  std::atomic<bool> stop{false};
+  std::atomic<int> torn{0}, backwards{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      int last = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::shared_ptr<const Version> snap = cell.load();
+        const int v = snap->values.front();
+        for (const int x : snap->values) {
+          if (x != v) torn.fetch_add(1);
+        }
+        if (v < last) backwards.fetch_add(1);
+        last = v;
+      }
+    });
+  }
+  for (int v = 1; v <= kVersions; ++v) {
+    cell.store(std::make_shared<const Version>(v));
+  }
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(backwards.load(), 0);
+  EXPECT_EQ(cell.load()->values.back(), kVersions);
 }
 
 }  // namespace

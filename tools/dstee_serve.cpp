@@ -3,9 +3,9 @@
 // Compiles an MLP, VGG or ResNet through the staged serve compiler
 // (lower → pass pipeline → bind; Linear → CSR SpMM, Conv2d → im2col +
 // SpMM over patches, residual adds as graph joins), starts an
-// InferenceServer (sharded replica worker groups + per-group
-// micro-batching queues; intra-op work runs on the persistent runtime
-// pool), drives it with either closed-loop client threads or an
+// InferenceServer (sharded replica worker groups pulling work-conserving
+// micro-batches from one queue; intra-op work runs on the persistent
+// runtime pool), drives it with either closed-loop client threads or an
 // open-loop Poisson arrival process (--arrival-rate), and reports
 // latency percentiles (p50/p99/p99.9 in open-loop mode), queue peaks,
 // backpressure-blocked time, and throughput.
@@ -254,7 +254,6 @@ int run_registry(const util::ArgParser& args) {
       static_cast<std::size_t>(args.get_int("shards"));
   mopts.server.max_batch =
       static_cast<std::size_t>(args.get_int("max-batch"));
-  mopts.server.max_delay_ms = args.get_double("max-delay-ms");
   mopts.server.max_shards =
       static_cast<std::size_t>(args.get_int("max-shards"));
   mopts.server.queue_quota =
@@ -265,7 +264,6 @@ int run_registry(const util::ArgParser& args) {
   if (smoke) {
     mopts.server.num_threads = 2;
     mopts.server.max_batch = 8;
-    mopts.server.max_delay_ms = 1.0;
     mopts.autoscaler.interval_ms = 10.0;
   }
 
@@ -476,10 +474,14 @@ int run(int argc, const char* const* argv) {
       .add_flag("width", "width multiplier (vgg/resnet)", "0.1")
       .add_flag("sparsity", "topology sparsity when no checkpoint", "0.9")
       .add_flag("threads", "server worker threads per shard", "2")
-      .add_flag("shards", "replica worker groups (round-robin routing)",
+      .add_flag("shards",
+                "replica worker groups, all pulling from the model's one "
+                "queue",
                 "1")
-      .add_flag("max-batch", "micro-batch flush size", "16")
-      .add_flag("max-delay-ms", "micro-batch flush deadline", "2.0")
+      .add_flag("max-batch",
+                "most queued requests one forward takes (an idle worker "
+                "takes what is queued, up to this)",
+                "16")
       .add_flag("intra-op",
                 "intra-op chunks per kernel on the runtime pool (0 = "
                 "pool-wide)",
@@ -529,7 +531,7 @@ int run(int argc, const char* const* argv) {
                 "scaling headroom per model (0 = --shards; registry mode)",
                 "0")
       .add_flag("queue-quota",
-                "per-shard admission quota for registry-mode try_submit "
+                "per-model admission quota for registry-mode try_submit "
                 "(0 = shed only at queue capacity)",
                 "0")
       .add_flag("autoscale",
@@ -700,7 +702,6 @@ int run(int argc, const char* const* argv) {
   scfg.num_threads = static_cast<std::size_t>(args.get_int("threads"));
   scfg.num_shards = static_cast<std::size_t>(args.get_int("shards"));
   scfg.max_batch = static_cast<std::size_t>(args.get_int("max-batch"));
-  scfg.max_delay_ms = args.get_double("max-delay-ms");
   const double arrival_rate = args.get_double("arrival-rate");
   std::size_t clients = static_cast<std::size_t>(args.get_int("clients"));
   std::size_t total_requests =
@@ -710,7 +711,6 @@ int run(int argc, const char* const* argv) {
     // sharded and open-loop paths get their own CI smokes.
     scfg.num_threads = 2;
     scfg.max_batch = 8;
-    scfg.max_delay_ms = 1.0;
     clients = 2;
     total_requests = 64;
   }
@@ -849,15 +849,13 @@ int run(int argc, const char* const* argv) {
   }
   if (server.num_shards() > 1) {
     std::cout << "\nper-shard (" << server.num_shards()
-              << " replica groups, round-robin-by-shape routing):\n";
+              << " replica groups sharing one queue):\n";
     for (std::size_t sh = 0; sh < server.num_shards(); ++sh) {
       const serve::StatsSnapshot ss = server.shard_stats(sh);
       std::cout << "  shard " << sh << ": " << ss.requests << " reqs in "
                 << ss.batches << " batches (mean "
                 << util::format_fixed(ss.mean_batch_size, 2) << "), p99 "
-                << util::format_fixed(ss.latency_p99_ms, 3)
-                << " ms, queue peak " << ss.queue_peak << ", blocked "
-                << util::format_fixed(ss.blocked_ms, 3) << " ms\n";
+                << util::format_fixed(ss.latency_p99_ms, 3) << " ms\n";
     }
   }
 
