@@ -1,5 +1,5 @@
 // serve_throughput — dense eval forward vs. compiled-CSR forward, plus
-// the runtime-pool scaling story.
+// sharded-server scaling.
 //
 // The deployment claim of the sparse-training story: once the topology is
 // fixed, inference cost should track density. This bench sweeps sparsity
@@ -9,35 +9,24 @@
 // speedup. Rows land in bench_results/serve_throughput.csv with a
 // `workload` column.
 //
-// Runtime sweeps follow: (1) intra-op SpMM on the persistent pool vs
-// the retired per-call thread spawn at small batches, where spawn
-// latency dominates the kernel — the reason the pool exists; (2)
-// row-range partitioning; (3) epilogue fusion (fused vs unfused
-// pipelines, equals-gated); (4) SIMD kernel-backend dispatch and int8
-// quantized serving (equals-/top-1-gated against scalar fp32); (5)
-// InferenceServer aggregate throughput across shard counts (replicated
-// CompiledNets pulling from one queue); (6) observability overhead —
-// tracing disabled vs armed-idle, gated at <= 2% throughput cost. All
-// land in bench_results/serve_scaling.csv.
+// A shard sweep follows: InferenceServer aggregate closed-loop throughput
+// at 1 and 2 shards (replicated CompiledNets pulling from one queue),
+// failing hard when 2 shards serve fewer req/s than 1 on a multi-core
+// host. Its rows land in bench_results/serve_scaling.csv.
+//
+// Pass ratios, per-backend and int8 forwards, hot-swap latency and
+// tracing overhead are measured by perfbench (perfbench/README.md); the
+// bit-identity contracts behind them are CTest cases.
 //
 // DSTEE_SCALE scales the model width; DSTEE_SERVE_MIN_TIME (seconds, default
 // 0.15) controls per-cell measurement time.
 #include <atomic>
-#include <cmath>
-#include <future>
+#include <thread>
 
 #include "bench_common.hpp"
-#include "spawn_chunks.hpp"
-#include "kernels/simd/backend.hpp"
 #include "models/mlp.hpp"
-#include "models/resnet.hpp"
 #include "models/vgg.hpp"
-#include "nn/conv2d.hpp"
-#include "obs/trace.hpp"
 #include "serve/compiled_net.hpp"
-#include "serve/delta.hpp"
-#include "serve/passes.hpp"
-#include "serve/registry.hpp"
 #include "serve/server.hpp"
 #include "sparse/sparse_model.hpp"
 #include "tensor/init.hpp"
@@ -105,437 +94,6 @@ void sweep_batches(nn::Sequential& model, const serve::CompiledNet& net,
                    std::to_string(net.total_nnz()),
                    util::format_fixed(net.density(), 4)});
   }
-}
-
-/// SpMM through the persistent pool vs. the retired per-call spawn, at
-/// the small batches where a server actually lives. The spawn baseline
-/// reproduces CsrMatrix::spmm's exact loop over the public CSR arrays so
-/// only the fan-out mechanism differs.
-void sweep_intra_op_pool(double min_time, util::CsvWriter& csv) {
-  const std::size_t n = 512;
-  const std::size_t intra = 4;
-  util::Rng rng(29);
-  tensor::Tensor w({n, n});
-  tensor::fill_normal(w, rng, 0.0f, 1.0f);
-  for (std::size_t i = 0; i < w.numel(); ++i) {
-    if (!rng.bernoulli(0.1)) w[i] = 0.0f;
-  }
-  const sparse::CsrMatrix csr = sparse::CsrMatrix::from_dense(w);
-
-  auto spawn_spmm = [&](const tensor::Tensor& x) {
-    const std::size_t batch = x.dim(0);
-    tensor::Tensor y({batch, csr.rows()});
-    bench::spawn_chunks(csr.rows(), intra, [&](std::size_t r0,
-                                                 std::size_t r1) {
-      for (std::size_t b = 0; b < batch; ++b) {
-        const float* xn = x.raw() + b * csr.cols();
-        float* yn = y.raw() + b * csr.rows();
-        for (std::size_t r = r0; r < r1; ++r) {
-          float acc = 0.0f;
-          for (std::size_t k = csr.row_ptr()[r]; k < csr.row_ptr()[r + 1];
-               ++k) {
-            acc += csr.values()[k] * xn[csr.col_idx()[k]];
-          }
-          yn[r] = acc;
-        }
-      }
-    });
-    return y;
-  };
-
-  std::cout << "intra-op fan-out: persistent pool vs per-call spawn "
-            << "(512x512 @ 90% sparse, " << intra << " chunks)\n";
-  util::Table table({"batch", "spawn rows/s", "pool rows/s", "speedup"});
-  double speedup_product = 1.0;
-  std::size_t cells = 0;
-  for (const std::size_t batch : {1u, 2u, 4u, 8u}) {
-    tensor::Tensor x({batch, n});
-    util::Rng xrng(100 + batch);
-    tensor::fill_normal(x, xrng, 0.0f, 1.0f);
-    // Correctness first: both fan-outs must agree bit-for-bit.
-    util::check(
-        csr.spmm(x, runtime::IntraOp{intra, nullptr}).equals(spawn_spmm(x)),
-        "pool and spawn SpMM diverged");
-    const double spawn_rate =
-        measure_rows_per_s([&] { spawn_spmm(x); }, batch, min_time);
-    const double pool_rate = measure_rows_per_s(
-        [&] { csr.spmm(x, runtime::IntraOp{intra, nullptr}); }, batch,
-        min_time);
-    const double speedup = pool_rate / spawn_rate;
-    speedup_product *= speedup;
-    ++cells;
-    table.add_row({std::to_string(batch), util::format_fixed(spawn_rate, 0),
-                   util::format_fixed(pool_rate, 0),
-                   util::format_fixed(speedup, 2) + "x"});
-    csv.write_row({"intra_op", "1", std::to_string(intra),
-                   std::to_string(batch), util::format_fixed(spawn_rate, 1),
-                   util::format_fixed(pool_rate, 1),
-                   util::format_fixed(speedup, 3)});
-  }
-  std::cout << table.render() << "\n";
-  const double mean_speedup =
-      std::pow(speedup_product, 1.0 / static_cast<double>(cells));
-  bench::shape_check(
-      "persistent pool beats per-call spawn at batch <= 8 (geomean)",
-      mean_speedup > 1.0);
-}
-
-/// Row-range partitioning (serve::PartitionRows): the ROADMAP's second
-/// sharding step. The heaviest CSR ops split into k cost-balanced row
-/// slices executed as one fan-out on the runtime pool, so a single
-/// sample's biggest layers run on several workers at once — the batch-1
-/// latency lever replication alone cannot pull. Two workloads:
-///
-///   partition_layer  the largest conv of a 90%-sparse VGG-19-at-width
-///                    profile on its own, batch 1 — the acceptance metric
-///   partition        a full 90%-sparse VGG-19, batch 1..8
-///
-/// k=1 rows are the unpartitioned baseline; every partitioned program is
-/// gated bit-identical to it before timing.
-void sweep_partition(const bench::BenchEnv& env, double min_time,
-                     util::CsvWriter& csv) {
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::vector<std::size_t> ways = {1, 2, 4};
-
-  auto partitioned = [&](nn::Sequential& model,
-                         const sparse::SparseModel& smodel,
-                         const tensor::Shape& sample, std::size_t k,
-                         double threshold) {
-    serve::Compiler compiler;
-    if (k >= 2) {
-      serve::PartitionRowsOptions popts;
-      popts.ways = k;
-      popts.min_cost_share = threshold;
-      popts.sample_shape = sample;
-      compiler.add_pass(std::make_unique<serve::PartitionRows>(popts));
-    }
-    return compiler.compile(model, &smodel);
-  };
-
-  // --- largest layer alone, batch 1 ------------------------------------
-  // VGG-19's heaviest op at this width profile: a 3x3 conv over the
-  // widest stage, 90% sparse.
-  const std::size_t ch = env.scaled(128, 32);
-  util::Rng rng(53);
-  nn::Sequential layer;
-  layer.emplace<nn::Conv2d>(ch, ch, 3, 1, 1, rng);
-  sparse::SparseModel layer_state(layer, 0.9,
-                                  sparse::DistributionKind::kUniform, rng);
-  layer.set_training(false);
-  const tensor::Shape layer_sample({ch, 8, 8});
-  tensor::Tensor lx{layer_sample.prepended(1)};
-  util::Rng lrng(54);
-  tensor::fill_normal(lx, lrng, 0.0f, 1.0f);
-
-  std::cout << "row-range partitioning: largest layer (spconv " << ch
-            << "->" << ch << " k3 @ 8x8, 90% sparse), batch 1, " << hw
-            << " hw threads\n";
-  util::Table layer_table({"partitions", "rows/s", "speedup"});
-  double layer_base = 0.0, layer_best = 0.0;
-  tensor::Tensor layer_ref;
-  for (const std::size_t k : ways) {
-    const serve::CompiledNet net =
-        partitioned(layer, layer_state, layer_sample, k, 0.0);
-    if (k == 1) {
-      layer_ref = net.forward(lx);
-    } else {
-      util::check(net.forward(lx).equals(layer_ref),
-                  "partitioned layer diverged from unpartitioned");
-    }
-    const double rate =
-        measure_rows_per_s([&] { net.forward(lx); }, 1, min_time);
-    if (k == 1) layer_base = rate;
-    layer_best = std::max(layer_best, rate);
-    layer_table.add_row({std::to_string(k), util::format_fixed(rate, 0),
-                         util::format_fixed(rate / layer_base, 2) + "x"});
-    csv.write_row({"partition_layer", std::to_string(k), "-", "1",
-                   util::format_fixed(layer_base, 1),
-                   util::format_fixed(rate, 1),
-                   util::format_fixed(rate / layer_base, 3)});
-  }
-  std::cout << layer_table.render() << "\n";
-
-  // --- whole VGG-19 ------------------------------------------------------
-  models::VggConfig vcfg;
-  vcfg.depth = 19;
-  vcfg.image_size = 16;
-  vcfg.num_classes = 10;
-  vcfg.width_multiplier = 0.25 * env.scale;
-  util::Rng vrng(57);
-  models::Vgg vgg(vcfg, vrng);
-  sparse::SparseModel vgg_state(vgg, 0.9, sparse::DistributionKind::kErk,
-                                vrng);
-  tensor::Tensor warm({2, 3, vcfg.image_size, vcfg.image_size});
-  util::Rng wrng(58);
-  tensor::fill_normal(warm, wrng, 0.0f, 1.0f);
-  vgg.forward(warm);  // move BN stats off init so folding is non-trivial
-  vgg.set_training(false);
-  const tensor::Shape vgg_sample({3, vcfg.image_size, vcfg.image_size});
-
-  std::cout << "row-range partitioning: VGG-19 @ "
-            << vcfg.image_size << "x" << vcfg.image_size << " width x"
-            << util::format_fixed(vcfg.width_multiplier, 2)
-            << ", 90% sparse (split ops with >=10% FLOPs share)\n";
-  util::Table net_table({"partitions", "batch", "rows/s", "speedup"});
-  double net_base_b1 = 0.0, net_best_b1 = 0.0;
-  const serve::CompiledNet vgg_baseline =
-      partitioned(vgg, vgg_state, vgg_sample, 1, 0.10);
-  for (const std::size_t k : ways) {
-    const serve::CompiledNet net =
-        k == 1 ? vgg_baseline.clone()
-               : partitioned(vgg, vgg_state, vgg_sample, k, 0.10);
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
-      tensor::Tensor x{vgg_sample.prepended(batch)};
-      util::Rng xrng(60 + batch);
-      tensor::fill_normal(x, xrng, 0.0f, 1.0f);
-      util::check(net.forward(x).equals(vgg_baseline.forward(x)),
-                  "partitioned VGG diverged from unpartitioned");
-      const double rate =
-          measure_rows_per_s([&] { net.forward(x); }, batch, min_time);
-      double base = rate;
-      if (batch == 1) {
-        if (k == 1) net_base_b1 = rate;
-        base = net_base_b1;
-        net_best_b1 = std::max(net_best_b1, rate);
-      }
-      net_table.add_row({std::to_string(k), std::to_string(batch),
-                         util::format_fixed(rate, 0),
-                         batch == 1
-                             ? util::format_fixed(rate / base, 2) + "x"
-                             : "-"});
-      csv.write_row({"partition", std::to_string(k), "-",
-                     std::to_string(batch),
-                     batch == 1 ? util::format_fixed(net_base_b1, 1) : "-",
-                     util::format_fixed(rate, 1),
-                     batch == 1 ? util::format_fixed(rate / base, 3) : "-"});
-    }
-  }
-  std::cout << net_table.render() << "\n";
-
-  if (hw >= 2) {
-    bench::shape_check(
-        "partitioning (k in {2,4}) improves batch-1 largest-layer latency",
-        layer_best > layer_base);
-    bench::shape_check(
-        "partitioning (k in {2,4}) improves batch-1 VGG-19 latency",
-        net_best_b1 > net_base_b1);
-  } else {
-    std::cout << "[skip] partition speedup checks need >= 2 hw threads\n";
-  }
-}
-
-/// Epilogue fusion (serve::FuseEpilogue): the graph-fusion step. The
-/// fused pipeline absorbs activation and residual-add nodes into the
-/// producing CSR op's kernel epilogue, so each output element is biased,
-/// added and activated in-register during the SpMM output loop instead
-/// of in separate full passes over the output tensor. Two workloads:
-///
-///   fusion_mlp     90%-sparse MLP (ReLU epilogues on the hidden SpMMs)
-///   fusion_resnet  90%-sparse ResNet-18 (conv ReLUs + residual adds)
-///
-/// Every fused program is gated bit-identical to the unfused default
-/// pipeline before timing — fusion reorders no float ops, it only
-/// removes tensor-wide passes. The fused batch-1 rate is the latency
-/// claim: small batches are memory-pass-bound, so dropping a pass shows
-/// up directly.
-void sweep_fusion(const bench::BenchEnv& env, double min_time,
-                  util::CsvWriter& csv) {
-  constexpr const char* kFusedSpec =
-      "elide-dropout,fold-bn,fuse-epilogue,free-after-last-use";
-  const std::vector<std::size_t> batches = {1, 2, 4, 8};
-
-  struct B1 {
-    double unfused = 0.0;
-    double fused = 0.0;
-  };
-  auto run_workload = [&](const std::string& workload,
-                          nn::Sequential& model,
-                          const sparse::SparseModel& smodel,
-                          const tensor::Shape& sample) {
-    const serve::CompiledNet unfused =
-        serve::CompiledNet::compile(model, &smodel);
-    serve::Compiler compiler;
-    compiler.pipeline_from_spec(kFusedSpec);
-    const serve::CompiledNet fused = compiler.compile(model, &smodel);
-    util::check(fused.num_fused_ops() > 0,
-                "fusion sweep workload produced no fused ops");
-
-    std::cout << "epilogue fusion: " << workload << " ("
-              << fused.num_fused_ops() << " fused ops, "
-              << unfused.num_ops() - fused.num_ops()
-              << " nodes removed)\n";
-    util::Table table(
-        {"batch", "unfused rows/s", "fused rows/s", "speedup"});
-    B1 b1;
-    for (const std::size_t batch : batches) {
-      tensor::Tensor x{sample.prepended(batch)};
-      util::Rng xrng(300 + batch);
-      tensor::fill_normal(x, xrng, 0.0f, 1.0f);
-      // Equals gate: fused must match unfused bit-for-bit, not just
-      // approximately — fusion changes where ops run, never their order.
-      util::check(fused.forward(x).equals(unfused.forward(x)),
-                  "fused forward diverged from unfused");
-      const double base =
-          measure_rows_per_s([&] { unfused.forward(x); }, batch, min_time);
-      const double rate =
-          measure_rows_per_s([&] { fused.forward(x); }, batch, min_time);
-      if (batch == 1) {
-        b1.unfused = base;
-        b1.fused = rate;
-      }
-      table.add_row({std::to_string(batch), util::format_fixed(base, 0),
-                     util::format_fixed(rate, 0),
-                     util::format_fixed(rate / base, 2) + "x"});
-      csv.write_row({workload, "-", "-", std::to_string(batch),
-                     util::format_fixed(base, 1), util::format_fixed(rate, 1),
-                     util::format_fixed(rate / base, 3)});
-    }
-    std::cout << table.render() << "\n";
-    return b1;
-  };
-
-  models::MlpConfig mcfg;
-  mcfg.in_features = env.scaled(256, 32);
-  mcfg.hidden = {env.scaled(512, 64), env.scaled(512, 64)};
-  mcfg.out_features = 10;
-  util::Rng mrng(61);
-  models::Mlp mlp(mcfg, mrng);
-  sparse::SparseModel mlp_state(mlp, 0.9, sparse::DistributionKind::kErk,
-                                mrng);
-  mlp.set_training(false);
-  const B1 mlp_b1 = run_workload("fusion_mlp", mlp, mlp_state,
-                                 tensor::Shape({mcfg.in_features}));
-
-  models::ResNetConfig rcfg;
-  rcfg.depth = 18;
-  rcfg.image_size = 8;
-  rcfg.num_classes = 10;
-  rcfg.width_multiplier = 0.25 * env.scale;
-  util::Rng rrng(62);
-  models::ResNet resnet(rcfg, rrng);
-  sparse::SparseModel resnet_state(resnet, 0.9,
-                                   sparse::DistributionKind::kErk, rrng);
-  tensor::Tensor warm({2, 3, rcfg.image_size, rcfg.image_size});
-  util::Rng wrng(63);
-  tensor::fill_normal(warm, wrng, 0.0f, 1.0f);
-  resnet.forward(warm);  // move BN stats off init so folding is non-trivial
-  resnet.set_training(false);
-  const B1 res_b1 = run_workload(
-      "fusion_resnet", resnet, resnet_state,
-      tensor::Shape({3, rcfg.image_size, rcfg.image_size}));
-
-  // Gate on the geomean across both workloads: one noisy cell on the
-  // tiny scaled-down models must not flip the claim.
-  const double geomean = std::sqrt((mlp_b1.fused / mlp_b1.unfused) *
-                                   (res_b1.fused / res_b1.unfused));
-  bench::shape_check(
-      "epilogue fusion improves batch-1 latency (geomean, mlp+resnet)",
-      geomean > 1.0);
-}
-
-/// Kernel-backend dispatch: the same 90%-sparse MLP served under every
-/// backend this host supports (rows `kernel_backend`, backend name in the
-/// shards column) and under the int8-quantized pipeline on the process
-/// default backend (rows `kernel_int8`). Backend cells are equals-gated
-/// against the scalar-bound net — backends are bit-identical by contract;
-/// int8 cells are top-1-gated, since quantization rounds the weights.
-void sweep_kernel_backend(const bench::BenchEnv& env, double min_time,
-                          util::CsvWriter& csv) {
-  models::MlpConfig cfg;
-  cfg.in_features = env.scaled(256, 32);
-  cfg.hidden = {env.scaled(512, 64), env.scaled(512, 64)};
-  cfg.out_features = 10;
-  util::Rng rng(71);
-  models::Mlp model(cfg, rng);
-  sparse::SparseModel smodel(model, 0.9, sparse::DistributionKind::kErk,
-                             rng);
-  model.set_training(false);
-
-  const auto compile_with = [&](const std::string& backend) {
-    serve::CompileOptions opts;
-    opts.kernel_backend = backend;
-    return serve::CompiledNet::compile(model, &smodel, opts);
-  };
-  const serve::CompiledNet scalar_net = compile_with("scalar");
-  const std::vector<std::size_t> batches = {1, 8, 32};
-
-  std::cout << "kernel backends: 90%-sparse MLP under every supported "
-               "backend (scalar-gated)\n";
-  util::Table table({"backend", "batch", "rows/s", "vs scalar"});
-  std::vector<double> scalar_rates(batches.size(), 0.0);
-  for (const std::string& name : kernels::simd::available_backends()) {
-    const serve::CompiledNet net =
-        name == "scalar" ? scalar_net.clone() : compile_with(name);
-    for (std::size_t i = 0; i < batches.size(); ++i) {
-      const std::size_t batch = batches[i];
-      tensor::Tensor x({batch, cfg.in_features});
-      util::Rng xrng(400 + batch);
-      tensor::fill_normal(x, xrng, 0.0f, 1.0f);
-      util::check(net.forward(x).equals(scalar_net.forward(x)),
-                  "backend '" + name + "' diverged from scalar");
-      const double rate =
-          measure_rows_per_s([&] { net.forward(x); }, batch, min_time);
-      if (name == "scalar") scalar_rates[i] = rate;
-      const double speedup = rate / scalar_rates[i];
-      table.add_row({name, std::to_string(batch),
-                     util::format_fixed(rate, 0),
-                     util::format_fixed(speedup, 2) + "x"});
-      csv.write_row({"kernel_backend", name, "-", std::to_string(batch),
-                     util::format_fixed(scalar_rates[i], 1),
-                     util::format_fixed(rate, 1),
-                     util::format_fixed(speedup, 3)});
-    }
-  }
-
-  serve::Compiler quant;
-  quant.pipeline_from_spec(
-      "elide-dropout,fold-bn,fuse-epilogue,quantize:int8,"
-      "free-after-last-use");
-  const serve::CompiledNet qnet = quant.compile(model, &smodel);
-  util::check(qnet.num_quantized_ops() > 0,
-              "quantize pass produced no int8 ops");
-  const auto top1 = [](const tensor::Tensor& logits, std::size_t batch) {
-    const std::size_t classes = logits.numel() / batch;
-    std::vector<std::size_t> out(batch, 0);
-    for (std::size_t n = 0; n < batch; ++n) {
-      for (std::size_t c = 1; c < classes; ++c) {
-        if (logits[n * classes + c] > logits[n * classes + out[n]]) {
-          out[n] = c;
-        }
-      }
-    }
-    return out;
-  };
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    const std::size_t batch = batches[i];
-    tensor::Tensor x({batch, cfg.in_features});
-    util::Rng xrng(400 + batch);
-    tensor::fill_normal(x, xrng, 0.0f, 1.0f);
-    util::check(top1(qnet.forward(x), batch) ==
-                    top1(scalar_net.forward(x), batch),
-                "int8 serve changed a probe sample's top-1");
-    const double rate =
-        measure_rows_per_s([&] { qnet.forward(x); }, batch, min_time);
-    table.add_row({"int8 (" +
-                       std::string(kernels::simd::active_backend().name) +
-                       ")",
-                   std::to_string(batch), util::format_fixed(rate, 0),
-                   util::format_fixed(rate / scalar_rates[i], 2) + "x"});
-    csv.write_row({"kernel_int8", kernels::simd::active_backend().name, "-",
-                   std::to_string(batch),
-                   util::format_fixed(scalar_rates[i], 1),
-                   util::format_fixed(rate, 1),
-                   util::format_fixed(rate / scalar_rates[i], 3)});
-  }
-  std::cout << table.render() << "\n";
-  std::cout << "int8 weight bytes: " << qnet.total_weight_bytes() << " vs "
-            << scalar_net.total_weight_bytes() << " fp32 ("
-            << util::format_fixed(
-                   100.0 * static_cast<double>(qnet.total_weight_bytes()) /
-                       static_cast<double>(scalar_net.total_weight_bytes()),
-                   1)
-            << "%)\n\n";
 }
 
 /// Closed-loop aggregate throughput of the sharded InferenceServer. Each
@@ -629,252 +187,6 @@ void sweep_shards(const bench::BenchEnv& env, double min_time,
   }
 }
 
-/// One faked DST step on every layer of `state` that has sparse headroom
-/// — the delta payload the hot-swap sweep publishes mid-run. ERK keeps
-/// small layers (the 512→10 head) dense, so a layer with no inactive
-/// entry has nothing to grow into and is left as it is.
-void hotswap_step(sparse::SparseModel& state) {
-  std::size_t changed = 0;
-  for (std::size_t l = 0; l < state.num_layers(); ++l) {
-    sparse::MaskedParameter& layer = state.layer(l);
-    const std::vector<std::size_t> active = layer.mask().active_indices();
-    const std::vector<std::size_t> inactive = layer.mask().inactive_indices();
-    if (active.size() < 2 || inactive.empty()) continue;
-    layer.mask().deactivate(active[0]);
-    layer.mask().activate(inactive[0]);
-    layer.param().value[inactive[0]] = 0.125f;
-    layer.param().value[active[1]] += 0.25f;
-    layer.apply_mask_to_value();
-    ++changed;
-  }
-  util::check(changed > 0, "hotswap sweep model has no sparse headroom");
-}
-
-/// Tail latency under a mid-run hot swap: the same open-loop arrival
-/// stream measured once without a swap (baseline) and once with a
-/// sparse-delta swap published halfway through. The gate is the
-/// zero-downtime claim in latency form: the swap window's p99 stays
-/// within 2x of the steady-state p99 (plus a small absolute floor for
-/// timer noise on the tiny scaled-down model).
-void sweep_hotswap(const bench::BenchEnv& env, double min_time,
-                   util::CsvWriter& csv) {
-  models::MlpConfig cfg;
-  cfg.in_features = env.scaled(256, 32);
-  cfg.hidden = {env.scaled(512, 64), env.scaled(512, 64)};
-  cfg.out_features = 10;
-  const tensor::Shape sample_shape({cfg.in_features});
-  constexpr std::uint64_t kSeed = 43;
-  constexpr std::size_t kShards = 2;
-
-  const auto make_registry = [&](serve::ModelRegistry& registry) {
-    util::Rng rng(kSeed);
-    auto module = std::make_unique<models::Mlp>(cfg, rng);
-    auto state = std::make_unique<sparse::SparseModel>(
-        *module, 0.9, sparse::DistributionKind::kErk, rng);
-    module->set_training(false);
-    serve::ModelOptions mopts;
-    mopts.server.num_threads = 1;
-    mopts.server.num_shards = kShards;
-    mopts.server.max_batch = 8;
-    registry.add_model("m", std::move(module), std::move(state),
-                       std::move(mopts));
-  };
-
-  // The delta: the registry's model (a pure function of the seed),
-  // reconstructed out-of-band and advanced one DST step.
-  const serve::CheckpointDelta delta = [&] {
-    util::Rng brng(kSeed);
-    models::Mlp base(cfg, brng);
-    sparse::SparseModel base_state(base, 0.9,
-                                   sparse::DistributionKind::kErk, brng);
-    util::Rng nrng(kSeed);
-    models::Mlp next(cfg, nrng);
-    sparse::SparseModel next_state(next, 0.9,
-                                   sparse::DistributionKind::kErk, nrng);
-    hotswap_step(next_state);
-    return serve::make_delta(base, &base_state, next, &next_state);
-  }();
-
-  // Calibrate the arrival rate to half of closed-loop capacity so the
-  // open-loop phases run loaded but un-saturated — a saturated queue
-  // would make p99 a function of overload, not of the swap.
-  const double calibrated_rps = [&] {
-    serve::ModelRegistry registry;
-    make_registry(registry);
-    std::atomic<bool> stop{false};
-    std::atomic<std::size_t> done{0};
-    std::vector<std::thread> clients;
-    for (std::size_t c = 0; c < 4; ++c) {
-      clients.emplace_back([&, c] {
-        util::Rng crng(700 + c);
-        while (!stop.load(std::memory_order_relaxed)) {
-          tensor::Tensor sample(sample_shape);
-          tensor::fill_normal(sample, crng, 0.0f, 1.0f);
-          registry.submit("m", std::move(sample)).get();
-          done.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    util::Timer timer;
-    while (timer.seconds() < std::max(0.15, min_time)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    stop.store(true);
-    for (auto& t : clients) t.join();
-    const double elapsed = timer.seconds();
-    registry.shutdown();
-    return static_cast<double>(done.load()) / elapsed;
-  }();
-
-  const double seconds = std::max(0.4, min_time * 3.0);
-  const double rate = std::max(50.0, calibrated_rps * 0.5);
-  const std::size_t total =
-      std::max<std::size_t>(200, static_cast<std::size_t>(rate * seconds));
-  const double interval_s = seconds / static_cast<double>(total);
-
-  // One open-loop phase: fixed-interval arrivals; when `swap` is set, a
-  // control-plane thread publishes the delta at the halfway arrival.
-  const auto run_phase = [&](bool swap, serve::StatsSnapshot& stats,
-                             serve::SwapReport& report) {
-    serve::ModelRegistry registry;
-    make_registry(registry);
-    std::vector<std::future<tensor::Tensor>> futures;
-    futures.reserve(total);
-    std::thread swapper;
-    util::Rng arng(800);
-    util::Timer wall;
-    for (std::size_t i = 0; i < total; ++i) {
-      const double due = static_cast<double>(i) * interval_s;
-      while (wall.seconds() < due) {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-      if (swap && i == total / 2) {
-        swapper = std::thread(
-            [&] { report = registry.apply_delta("m", delta); });
-      }
-      tensor::Tensor sample(sample_shape);
-      tensor::fill_normal(sample, arng, 0.0f, 1.0f);
-      futures.push_back(registry.submit("m", std::move(sample)));
-    }
-    for (auto& f : futures) f.get();
-    if (swapper.joinable()) swapper.join();
-    registry.shutdown();
-    stats = registry.stats("m");
-  };
-
-  serve::StatsSnapshot base_stats, swap_stats;
-  serve::SwapReport unused, report;
-  run_phase(false, base_stats, unused);
-  run_phase(true, swap_stats, report);
-  const double base_p99 = base_stats.latency_p99_ms;
-  const double swap_p99 = swap_stats.latency_p99_ms;
-
-  std::cout << "hot swap under open-loop load (" << kShards << " shards, "
-            << util::format_fixed(rate, 0) << " req/s, " << total
-            << " requests/phase)\n";
-  util::Table table({"phase", "completed", "p50 ms", "p99 ms", "swaps"});
-  table.add_row({"no swap", std::to_string(base_stats.requests),
-                 util::format_fixed(base_stats.latency_p50_ms, 3),
-                 util::format_fixed(base_p99, 3),
-                 std::to_string(base_stats.swap_count)});
-  table.add_row({"swap mid-run", std::to_string(swap_stats.requests),
-                 util::format_fixed(swap_stats.latency_p50_ms, 3),
-                 util::format_fixed(swap_p99, 3),
-                 std::to_string(swap_stats.swap_count)});
-  std::cout << table.render() << "\n";
-  // For the hotswap row the rate columns hold p99 ms (baseline, swap) and
-  // `speedup` their ratio — same column reuse as the partition rows.
-  csv.write_row({"hotswap", std::to_string(kShards), "1", "-",
-                 util::format_fixed(base_p99, 3),
-                 util::format_fixed(swap_p99, 3),
-                 util::format_fixed(base_p99 > 0.0 ? swap_p99 / base_p99 : 1.0,
-                                    3)});
-
-  bench::shape_check("hot swap drops nothing (every arrival completed)",
-                     swap_stats.requests == total);
-  bench::shape_check("delta swap patched the plan without a full recompile",
-                     swap_stats.swap_count == 1 && !report.full_recompile &&
-                         report.patched_weight_nodes > 0);
-  bench::shape_check("p99 with a mid-run swap stays within 2x of baseline",
-                     swap_p99 <= base_p99 * 2.0 + 2.0);
-}
-
-/// Observability overhead: closed-loop server throughput with the trace
-/// recorder fully disabled vs armed-but-idle (enabled with a sampling
-/// period no request ever reaches, so every submit pays the sample()
-/// check and every worker pays the enabled-path branches, but no span is
-/// recorded). This is the tentpole's "disabled tracing is free" claim in
-/// bench form: one relaxed atomic load per request must cost <= 2%
-/// throughput. Reps alternate off/armed so machine drift hits both sides
-/// equally; each side keeps its best of 3.
-void sweep_obs_overhead(const bench::BenchEnv& env, double min_time,
-                        util::CsvWriter& csv) {
-  models::MlpConfig cfg;
-  cfg.in_features = env.scaled(256, 32);
-  cfg.hidden = {env.scaled(512, 64), env.scaled(512, 64)};
-  cfg.out_features = 10;
-  util::Rng rng(47);
-  models::Mlp model(cfg, rng);
-  sparse::SparseModel smodel(model, 0.9, sparse::DistributionKind::kErk,
-                             rng);
-  model.set_training(false);
-  const serve::CompiledNet net = serve::CompiledNet::compile(model, &smodel);
-  const tensor::Shape sample_shape({cfg.in_features});
-
-  // Equals gate first: a fully TRACED request (sample_every = 1, spans
-  // recorded end to end) returns the same bits as the direct forward.
-  obs::trace().enable(1);
-  {
-    serve::ServerConfig scfg;
-    scfg.num_threads = 1;
-    scfg.max_batch = 8;
-    serve::InferenceServer server(net, scfg);
-    tensor::Tensor x(sample_shape);
-    util::Rng xrng(48);
-    tensor::fill_normal(x, xrng, 0.0f, 1.0f);
-    const tensor::Tensor got = server.submit(x).get();
-    const tensor::Tensor expected =
-        net.forward(x.reshaped(sample_shape.prepended(1)));
-    util::check(got.equals(expected.reshaped(tensor::Shape({got.numel()}))),
-                "traced request diverged from direct forward");
-    server.shutdown();
-  }
-  obs::trace().disable();
-
-  const double seconds = std::max(0.3, min_time * 2.0);
-  constexpr int kReps = 3;
-  double best_off = 0.0, best_armed = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    serve::StatsSnapshot stats;
-    obs::trace().disable();
-    best_off = std::max(
-        best_off, measure_server_rps(net, sample_shape, 1, 4, seconds,
-                                     stats));
-    obs::trace().enable(1u << 30);  // armed, but never actually samples
-    best_armed = std::max(
-        best_armed, measure_server_rps(net, sample_shape, 1, 4, seconds,
-                                       stats));
-  }
-  obs::trace().disable();
-  const double ratio = best_armed / best_off;
-
-  std::cout << "observability overhead: tracing disabled vs armed-idle "
-               "(closed loop, best of " << kReps << ")\n";
-  util::Table table({"tracing", "req/s", "vs disabled"});
-  table.add_row({"disabled", util::format_fixed(best_off, 0), "1.00x"});
-  table.add_row({"armed idle", util::format_fixed(best_armed, 0),
-                 util::format_fixed(ratio, 3) + "x"});
-  std::cout << table.render() << "\n";
-  csv.write_row({"obs_overhead", "1", "1", "-",
-                 util::format_fixed(best_off, 1),
-                 util::format_fixed(best_armed, 1),
-                 util::format_fixed(ratio, 3)});
-
-  bench::shape_check(
-      "armed-idle tracing costs <= 2% closed-loop throughput (best-of-3)",
-      ratio >= 0.98);
-}
-
 int run() {
   const bench::BenchEnv env = bench::BenchEnv::resolve();
   const double min_time = util::env_double("DSTEE_SERVE_MIN_TIME", 0.15);
@@ -942,20 +254,13 @@ int run() {
 
   std::cout << table.render() << "\n";
 
-  // Runtime scaling sweeps (pool vs spawn, row-range partitions, epilogue
-  // fusion, shard replicas). For the partition rows, `shards` holds the
-  // partition count; for the fusion rows, baseline is the unfused rate.
+  // Shard scaling: aggregate closed-loop throughput of 1 vs 2 replica
+  // shards. `shards` holds the shard count; the baseline is 1 shard.
   util::CsvWriter scaling_csv(
       "bench_results/serve_scaling.csv",
       {"sweep", "shards", "intra_op", "batch", "baseline_rows_per_s",
        "rows_per_s", "speedup"});
-  sweep_intra_op_pool(min_time, scaling_csv);
-  sweep_partition(env, min_time, scaling_csv);
-  sweep_fusion(env, min_time, scaling_csv);
-  sweep_kernel_backend(env, min_time, scaling_csv);
   sweep_shards(env, min_time, scaling_csv);
-  sweep_hotswap(env, min_time, scaling_csv);
-  sweep_obs_overhead(env, min_time, scaling_csv);
   scaling_csv.flush();
 
   bench::shape_check(

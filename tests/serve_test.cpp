@@ -1924,7 +1924,8 @@ TEST(CompiledNet, ProfileOpsAccumulatesAndIsSharedAcrossClones) {
 TEST(Server, TraceSpansTileRequestLatencyExactly) {
   // queue = [enqueued, popped] and batch = [popped, done] derive from the
   // same three integer stamps as request = [enqueued, done], so the two
-  // child spans tile the request span EXACTLY — no slack.
+  // child spans tile the request span EXACTLY — no slack. Tracing only
+  // observes: every traced response keeps the batch-1 forward's bits.
   CompiledHarness h(0.8);
   const auto net = serve::CompiledNet::compile(h.model, &h.smodel);
   obs::trace().enable(/*sample_every=*/1);
@@ -1937,7 +1938,13 @@ TEST(Server, TraceSpansTileRequestLatencyExactly) {
     futures.push_back(
         server.submit(random_tensor(tensor::Shape({12}), 620 + i)));
   }
-  for (auto& f : futures) f.get();
+  for (int i = 0; i < 8; ++i) {
+    const auto x = random_tensor(tensor::Shape({12}), 620 + i);
+    const auto expected = net.forward(x.reshaped(tensor::Shape({1, 12})));
+    EXPECT_TRUE(futures[static_cast<std::size_t>(i)].get().equals(
+        expected.reshaped(tensor::Shape({5}))))
+        << "request " << i;
+  }
   server.shutdown();
   obs::trace().disable();
 

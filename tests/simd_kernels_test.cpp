@@ -3,8 +3,9 @@
 // AVX2 kernel must reproduce the scalar reference EXACTLY (tensor::equals,
 // not allclose) across batch sizes that exercise full 8-wide vector
 // bodies, sub-register tails, and row-slice boundaries that do not align
-// with the vector width. The int8 quantizer's error bound (≤ scale/2 per
-// stored value) is pinned here too, next to the kernels that consume it.
+// with the vector width — and through whole compiled nets pinned to each
+// backend. The int8 quantizer's error bound (≤ scale/2 per stored value)
+// is pinned here too, next to the kernels that consume it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,8 +16,13 @@
 
 #include "kernels/epilogue.hpp"
 #include "kernels/simd/backend.hpp"
+#include "models/mlp.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/linear.hpp"
+#include "serve/compiled_net.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/qcsr.hpp"
+#include "sparse/sparse_model.hpp"
 #include "tensor/tensor.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
@@ -251,6 +257,82 @@ TEST(KernelBackend, EpilogueRangeBitIdentical) {
       EXPECT_TRUE(got.equals(ref))
           << "numel " << numel << ", act "
           << (ep.has_act ? static_cast<int>(ep.act) : -1);
+    }
+  }
+}
+
+TEST(KernelBackend, CompiledNetsMatchScalarBoundNet) {
+  // The kernel-level identities above, end to end: a whole CompiledNet
+  // pinned to each available backend (linear SpMMs, BN-folded convs over
+  // im2col, activations, pooling) answers exactly what the scalar-pinned
+  // net answers, at the batch sizes a server forms.
+  const auto compile_with = [](nn::Sequential& model,
+                               const sparse::SparseModel& state,
+                               const std::string& backend) {
+    serve::CompileOptions opts;
+    opts.kernel_backend = backend;
+    return serve::CompiledNet::compile(model, &state, opts);
+  };
+  // Fresh layers carry zero biases and unit BN affines; randomize every
+  // dense parameter so the bias stage of each kernel epilogue is live.
+  const auto randomize_dense_params = [](nn::Sequential& model,
+                                         std::uint64_t seed) {
+    util::Rng rng(seed);
+    for (nn::Parameter* p : model.parameters()) {
+      if (!p->sparsifiable) tensor::fill_normal(p->value, rng, 0.0f, 0.5f);
+    }
+  };
+
+  models::MlpConfig mcfg;
+  mcfg.in_features = 64;
+  mcfg.hidden = {128, 128};
+  mcfg.out_features = 10;
+  util::Rng mrng(71);
+  models::Mlp mlp(mcfg, mrng);
+  sparse::SparseModel mlp_state(mlp, 0.9, sparse::DistributionKind::kErk,
+                                mrng);
+  randomize_dense_params(mlp, 74);
+  mlp.set_training(false);
+
+  // Conv stages at 8x8 and 4x4 keep every conv wide enough for the
+  // vectorized column loop; the BN folds into the first conv's bias.
+  util::Rng crng(72);
+  nn::Sequential conv;
+  conv.emplace<nn::Conv2d>(3, 16, 3, 1, 1, crng);
+  conv.emplace<nn::BatchNorm2d>(16);
+  conv.emplace<nn::ReLU>();
+  conv.emplace<nn::MaxPool2d>(2, 2);
+  conv.emplace<nn::Conv2d>(16, 32, 3, 1, 1, crng, /*with_bias=*/true);
+  conv.emplace<nn::ReLU>();
+  conv.emplace<nn::GlobalAvgPool>();
+  conv.emplace<nn::Linear>(32, 10, crng);
+  sparse::SparseModel conv_state(conv, 0.9, sparse::DistributionKind::kErk,
+                                 crng);
+  randomize_dense_params(conv, 75);
+  conv.forward(random_tensor(tensor::Shape({4, 3, 8, 8}), 73));
+  conv.set_training(false);
+
+  const auto mlp_scalar = compile_with(mlp, mlp_state, "scalar");
+  const auto conv_scalar = compile_with(conv, conv_state, "scalar");
+  // A net whose ReLUs are all off answers the same for every input, which
+  // would make the comparisons below vacuous.
+  ASSERT_FALSE(
+      conv_scalar.forward(random_tensor(tensor::Shape({1, 3, 8, 8}), 76))
+          .equals(conv_scalar.forward(
+              random_tensor(tensor::Shape({1, 3, 8, 8}), 77))));
+  for (const std::string& name : kernels::simd::available_backends()) {
+    const auto mlp_net = compile_with(mlp, mlp_state, name);
+    for (const std::size_t batch : {1u, 8u, 32u}) {
+      const auto x = random_tensor(tensor::Shape({batch, 64}), 400 + batch);
+      EXPECT_TRUE(mlp_net.forward(x).equals(mlp_scalar.forward(x)))
+          << name << ", mlp batch " << batch;
+    }
+    const auto conv_net = compile_with(conv, conv_state, name);
+    for (const std::size_t batch : {1u, 8u}) {
+      const auto x =
+          random_tensor(tensor::Shape({batch, 3, 8, 8}), 440 + batch);
+      EXPECT_TRUE(conv_net.forward(x).equals(conv_scalar.forward(x)))
+          << name << ", conv batch " << batch;
     }
   }
 }
