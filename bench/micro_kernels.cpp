@@ -1,15 +1,25 @@
 // google-benchmark microbenchmarks for the kernels on the sparse-training
 // hot path: matmul, im2col convolution, top-k selection, the DST-EE
-// acquisition score, mask application, and a full engine update round.
+// acquisition score, mask application, and a full engine update round —
+// plus the serve CSR kernels (SpMM per backend, the direct sparse conv).
+//
+// Some cells are gates: a SIMD kernel that diverges from the scalar
+// reference, a direct conv that is not bit-equal to im2col + spmm_cols, or
+// an AVX2 SpMM below its speedup floor. A fired gate marks its cell with
+// SkipWithError and makes the binary exit non-zero, so CI fails on it;
+// cells that only skip because AVX2 is absent do not.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "kernels/activations.hpp"
 #include "kernels/epilogue.hpp"
 #include "kernels/simd/backend.hpp"
+#include "kernels/sparse_conv.hpp"
 #include "methods/drop_policy.hpp"
 #include "methods/dst_engine.hpp"
 #include "methods/grow_policy.hpp"
@@ -19,6 +29,7 @@
 #include "sparse/csr.hpp"
 #include "sparse/qcsr.hpp"
 #include "sparse/sparse_model.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/init.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
@@ -27,6 +38,15 @@
 
 namespace dstee {
 namespace {
+
+/// Set once any gate fires; main() turns it into the exit status.
+bool g_gate_failed = false;
+
+/// Fails a gate: the cell reports `message` and the run exits non-zero.
+void fail_gate(benchmark::State& state, const char* message) {
+  g_gate_failed = true;
+  state.SkipWithError(message);
+}
 
 tensor::Tensor random_tensor(tensor::Shape shape, std::uint64_t seed) {
   tensor::Tensor t(std::move(shape));
@@ -198,18 +218,24 @@ void BM_SpmmThenRelu(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmThenRelu);
 
-// CSR-over-im2col conv kernel (the hot loop of the serve executor's CSR
-// op on a conv node): one image's patch matrix against a masked
-// [Cout, Cin·K·K] weight.
-void BM_CsrSpmmCols(benchmark::State& state) {
-  const std::size_t in_ch = 64, out_ch = 128, k = 3, res = 16;
-  const double density = static_cast<double>(state.range(0)) / 100.0;
-  auto w = random_tensor(tensor::Shape({out_ch, in_ch * k * k}), 26);
+// A masked [Cout, Cin·K·K] conv weight at `density` — the shared weight
+// of the two conv cells (64→128 channels, 3×3, 16×16 output).
+sparse::CsrMatrix conv_bench_csr(std::size_t out_ch, std::size_t cols,
+                                 double density) {
+  auto w = random_tensor(tensor::Shape({out_ch, cols}), 26);
   util::Rng rng(27);
   for (std::size_t i = 0; i < w.numel(); ++i) {
     if (!rng.bernoulli(density)) w[i] = 0.0f;
   }
-  const auto csr = sparse::CsrMatrix::from_dense(w);
+  return sparse::CsrMatrix::from_dense(w);
+}
+
+// CSR over one image's im2col patch matrix (the lowering nn::Conv2d uses,
+// and the reference the direct conv below is gated against).
+void BM_CsrSpmmCols(benchmark::State& state) {
+  const std::size_t in_ch = 64, out_ch = 128, k = 3, res = 16;
+  const auto csr = conv_bench_csr(
+      out_ch, in_ch * k * k, static_cast<double>(state.range(0)) / 100.0);
   const auto cols =
       random_tensor(tensor::Shape({in_ch * k * k, res * res}), 28);
   tensor::Tensor out({out_ch, res * res});
@@ -220,6 +246,40 @@ void BM_CsrSpmmCols(benchmark::State& state) {
   state.counters["density"] = csr.density();
 }
 BENCHMARK(BM_CsrSpmmCols)->Arg(5)->Arg(10)->Arg(50)->Arg(100);
+
+// The direct sparse conv the serve executor runs on every conv node, on
+// the same shape: pad one image, then walk the filter rows over it (the
+// per-image work; the tap table is built once per call). Gated first as
+// bit-equal (memcmp) to scalar im2col + spmm_cols on that image.
+void BM_CsrConvDirect(benchmark::State& state) {
+  const std::size_t in_ch = 64, out_ch = 128, k = 3, res = 16;
+  const auto csr = conv_bench_csr(
+      out_ch, in_ch * k * k, static_cast<double>(state.range(0)) / 100.0);
+  const auto image = random_tensor(tensor::Shape({in_ch, res, res}), 28);
+  const auto g = tensor::ConvGeometry::square(in_ch, k, 1, 1, res, res);
+  const kernels::SparseConvInput input(g);
+  std::vector<float> xpad(input.scratch_size(), 0.0f);
+  tensor::Tensor out({out_ch, res * res});
+
+  tensor::Tensor cols({g.patch_size(), res * res});
+  tensor::im2col(image.raw(), g, cols);
+  tensor::Tensor ref({out_ch, res * res});
+  csr.row_slice(0, out_ch).spmm_cols_into(
+      cols.raw(), res * res, ref.raw(), {}, &kernels::simd::scalar_backend());
+  input.pad(image.raw(), xpad.data());
+  csr.row_slice(0, out_ch).conv_into(input.view(xpad.data()), out.raw());
+  if (std::memcmp(out.raw(), ref.raw(), ref.numel() * sizeof(float)) != 0) {
+    fail_gate(state, "direct conv diverged from im2col + spmm_cols");
+    return;
+  }
+  for (auto _ : state) {
+    input.pad(image.raw(), xpad.data());
+    csr.row_slice(0, out_ch).conv_into(input.view(xpad.data()), out.raw());
+    benchmark::DoNotOptimize(out.raw());
+  }
+  state.counters["density"] = csr.density();
+}
+BENCHMARK(BM_CsrConvDirect)->Arg(5)->Arg(10)->Arg(50)->Arg(100);
 
 // Kernel-backend dispatch: the same batched SpMM under the scalar
 // reference and the AVX2 backend (and the int8-quantized variant).
@@ -255,7 +315,7 @@ void run_backend_spmm(benchmark::State& state,
   if (backend->is_simd) {
     const auto& scalar = kernels::simd::scalar_backend();
     if (!csr.spmm(x, {}, ep, backend).equals(csr.spmm(x, {}, ep, &scalar))) {
-      state.SkipWithError("SIMD spmm diverged from scalar reference");
+      fail_gate(state, "SIMD spmm diverged from scalar reference");
       return;
     }
   }
@@ -302,7 +362,7 @@ void BM_QSpmmInt8(benchmark::State& state) {
   }
   const auto& scalar = kernels::simd::scalar_backend();
   if (!q.spmm(x, {}, ep).equals(q.spmm(x, {}, ep, &scalar))) {
-    state.SkipWithError("active-backend qspmm diverged from scalar");
+    fail_gate(state, "active-backend qspmm diverged from scalar");
     return;
   }
   for (auto _ : state) {
@@ -318,7 +378,7 @@ BENCHMARK(BM_QSpmmInt8)
 // The PR's acceptance gate, self-measured: AVX2 must beat scalar by
 // >= 1.5x on the batch-8 fp32 SpMM (the vector width's bread-and-butter
 // shape). Reported as the `speedup_b8` counter; a shortfall fails the
-// bench via SkipWithError. Skips cleanly where AVX2 does not exist.
+// gate. Skips cleanly where AVX2 does not exist.
 void BM_SpmmAvx2SpeedupGate(benchmark::State& state) {
   const auto* avx2 = kernels::simd::avx2_backend();
   if (avx2 == nullptr) {
@@ -351,7 +411,7 @@ void BM_SpmmAvx2SpeedupGate(benchmark::State& state) {
   }
   state.counters["speedup_b8"] = speedup;
   if (speedup < 1.5) {
-    state.SkipWithError("AVX2 spmm below the 1.5x batch-8 gate vs scalar");
+    fail_gate(state, "AVX2 spmm below the 1.5x batch-8 gate vs scalar");
   }
 }
 BENCHMARK(BM_SpmmAvx2SpeedupGate);
@@ -409,4 +469,11 @@ BENCHMARK(BM_EngineUpdateRound);
 }  // namespace
 }  // namespace dstee
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN, plus the gate verdict as the exit status.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return dstee::g_gate_failed ? 1 : 0;
+}

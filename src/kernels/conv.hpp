@@ -1,7 +1,9 @@
 // Dense conv2d forward kernel: per-image im2col followed by a lowered
-// matmul. nn::Conv2d::forward delegates here; the serve/ runtime uses the
-// same im2col with a CSR SpMM instead of the dense matmul, so the patch
-// layout is defined in exactly one place (tensor/im2col.hpp).
+// matmul. nn::Conv2d::forward delegates here. The serve/ runtime deploys
+// the same [Cout, Cin·K·K] weight view as CSR and runs it as a direct
+// sparse conv (kernels/sparse_conv.hpp) whose column order is the im2col
+// patch layout (tensor/im2col.hpp), so a trained topology deploys
+// exactly.
 #pragma once
 
 #include <cstddef>

@@ -111,6 +111,57 @@ void scalar_qspmm_cols(const QCsrView& a, const float* b, std::size_t n,
   }
 }
 
+// Direct sparse conv: the spmm_cols loop nest with each patch-matrix row
+// read straight from the padded image — the nonzero's tap, strided by the
+// output position — instead of from a materialized im2col buffer. The op
+// sequence per output element is unchanged: 0.0f, += value·tap per
+// nonzero in CSR order, then the row finish (identity where spmm_cols
+// skips it).
+template <typename View, bool kQuantized>
+void scalar_conv_impl(const View& a, const ConvView& x, float* out,
+                      const kernels::Epilogue& ep) {
+  const std::size_t positions = x.out_h * x.out_w;
+  const std::size_t row_stride = x.stride * x.row_step;
+  for (std::size_t r = 0; r < a.rows; ++r) {
+    float* yr = out + r * positions;
+    for (std::size_t j = 0; j < positions; ++j) yr[j] = 0.0f;
+    for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+      const float v = static_cast<float>(a.values[k]);
+      const float* src = x.image + x.tap[a.col_idx[k]];
+      for (std::size_t oh = 0; oh < x.out_h; ++oh) {
+        float* y = yr + oh * x.out_w;
+        const float* row = src + oh * row_stride;
+        for (std::size_t ow = 0; ow < x.out_w; ++ow) {
+          y[ow] += v * row[ow * x.stride];
+        }
+      }
+    }
+    const float scale = [&] {
+      if constexpr (kQuantized) return a.scales[r];
+      return 1.0f;
+    }();
+    const float* res =
+        ep.residual != nullptr ? ep.residual + r * positions : nullptr;
+    for (std::size_t j = 0; j < positions; ++j) {
+      float v = yr[j];
+      if constexpr (kQuantized) v *= scale;
+      if (ep.bias != nullptr) v += ep.bias[r];
+      if (res != nullptr) v += res[j];
+      yr[j] = ep.activate(v);
+    }
+  }
+}
+
+void scalar_conv(const CsrView& a, const ConvView& x, float* out,
+                 const kernels::Epilogue& ep) {
+  scalar_conv_impl<CsrView, false>(a, x, out, ep);
+}
+
+void scalar_qconv(const QCsrView& a, const ConvView& x, float* out,
+                  const kernels::Epilogue& ep) {
+  scalar_conv_impl<QCsrView, true>(a, x, out, ep);
+}
+
 void scalar_epilogue_range(const float* in, float* out, std::size_t i0,
                            std::size_t i1, const kernels::Epilogue& ep) {
   const float* res = ep.residual;
@@ -125,6 +176,7 @@ const KernelBackend kScalar{
     "scalar",        false,
     scalar_spmm_rows, scalar_spmm_cols,
     scalar_qspmm_rows, scalar_qspmm_cols,
+    scalar_conv,     scalar_qconv,
     scalar_epilogue_range,
 };
 

@@ -10,7 +10,8 @@
 //           reference every other backend is tested against
 //   avx2    AVX2 variants that vectorize ACROSS THE BATCH dimension
 //           (spmm: one nnz broadcast against 8 samples' activations) or
-//           across the unit-stride output axis (spmm_cols, epilogue).
+//           across the unit-stride output axis (spmm_cols, conv,
+//           epilogue).
 //           Each output element accumulates its nonzeros in exactly the
 //           scalar order, with a separate multiply and add per step (no
 //           FMA contraction), so results are BIT-IDENTICAL to scalar for
@@ -60,6 +61,24 @@ struct QCsrView {
   std::size_t cols = 0;
 };
 
+/// One image of a direct sparse convolution, read from a zero-padded
+/// copy of the input [Cin, H + 2p, W + 2p] — for a 1×1 conv, only the
+/// pixels its stride samples (kernels::SparseConvInput builds both).
+/// Output position (oh, ow) reads the tap of weight column c
+/// (c = (cin·K + kh)·K + kw, the im2col row order) at
+///   image[tap[c] + oh·stride·row_step + ow·stride],
+/// so a padding tap multiplies a literal 0.0f exactly as the im2col patch
+/// matrix does. SIMD kernels may read up to kernels::kConvReadSlack floats
+/// past the last padded row (vector-load tails whose lanes are discarded).
+struct ConvView {
+  const float* image = nullptr;
+  const std::uint32_t* tap = nullptr;  ///< per weight column
+  std::size_t row_step = 0;            ///< floats between image rows
+  std::size_t stride = 1;
+  std::size_t out_h = 0;
+  std::size_t out_w = 0;
+};
+
 /// One sparse-kernel implementation set. All kernels share the epilogue
 /// semantics of the scalar reference (kernels/epilogue.hpp): bias is
 /// indexed by the view's LOCAL row, the batched spmm residual by
@@ -88,6 +107,15 @@ struct KernelBackend {
                      const kernels::Epilogue& ep) = nullptr;
   void (*qspmm_cols)(const QCsrView& a, const float* b, std::size_t n,
                      float* out, const kernels::Epilogue& ep) = nullptr;
+
+  /// Direct sparse conv of one image: out[r · OH·OW + oh · OW + ow] is
+  /// spmm_cols over the image's im2col patch matrix, bit for bit —
+  /// acc = 0.0f, acc += value · tap in CSR order, then the row finish
+  /// (the int8 scale, bias, residual laid out like `out`, activation).
+  void (*conv)(const CsrView& a, const ConvView& x, float* out,
+               const kernels::Epilogue& ep) = nullptr;
+  void (*qconv)(const QCsrView& a, const ConvView& x, float* out,
+                const kernels::Epilogue& ep) = nullptr;
 
   /// Flat elementwise epilogue over [i0, i1): out[i] = ep.activate(in[i]
   /// + residual[i]). No bias (no row structure) — the chunk body of

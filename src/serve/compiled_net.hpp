@@ -6,7 +6,7 @@
 // threads. Compilation is three explicit stages (see plan.hpp):
 //
 //   lower()    nn::Sequential + SparseModel → Plan IR (one node per
-//              module; Linear → CSR SpMM, Conv2d → CSR over im2col,
+//              module; Linear → CSR SpMM, Conv2d → direct sparse conv,
 //              eval-BN → scale/shift, residual blocks → add+ReLU joins)
 //   passes     serve::Compiler's pipeline — ElideDropout, FoldBatchNorm,
 //              FreeAfterLastUse by default; PartitionRows on request

@@ -5,10 +5,11 @@
 
 #include "kernels/epilogue.hpp"
 #include "kernels/pool.hpp"
+#include "kernels/sparse_conv.hpp"
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
 #include "sparse/flops.hpp"
-#include "tensor/im2col.hpp"
+#include "tensor/conv_geometry.hpp"
 #include "util/check.hpp"
 #include "util/string_util.hpp"
 
@@ -61,26 +62,6 @@ tensor::Tensor EvalOp::run_many(
 
 namespace {
 
-/// Conv geometry shared by the conv-shaped ops.
-tensor::ConvGeometry conv_geometry_for(std::size_t in_channels,
-                                       std::size_t kernel, std::size_t stride,
-                                       std::size_t padding, std::size_t in_h,
-                                       std::size_t in_w) {
-  // Checked here (not just in run()) so shape/FLOPs propagation through
-  // out_shape()/flops() fails cleanly instead of underflowing out_h().
-  util::check(in_h + 2 * padding >= kernel && in_w + 2 * padding >= kernel,
-              "spconv input smaller than kernel");
-  tensor::ConvGeometry g;
-  g.in_channels = in_channels;
-  g.in_h = in_h;
-  g.in_w = in_w;
-  g.kernel_h = kernel;
-  g.kernel_w = kernel;
-  g.stride = stride;
-  g.padding = padding;
-  return g;
-}
-
 /// The one CSR op: output rows [row_begin, row_end) of a CSR weight
 /// matrix, finished in the kernel's output loop by the bias and the
 /// FuseEpilogue annotation (folding and fusion both happen at the plan
@@ -91,13 +72,14 @@ tensor::ConvGeometry conv_geometry_for(std::size_t in_channels,
 /// zero-copy, with its bias sliced at the plan level. The input layout is
 /// fixed at bind time from the plan node:
 ///   kFeatures  [N, cols]: kSpmm, or a linear kRowSlice.
-///   kImage     [N, Cin, H, W]: kConv. Each image is lowered into
-///              per-chunk im2col scratch, the batch split across the
-///              bound IntraOp. The CSR matrix is the masked weight viewed
-///              as [Cout, Cin·K·K] — the lowering nn::Conv2d uses densely,
-///              so a masked checkpoint deploys its topology bit-for-bit.
-///   kPatches   [N, Cin·K·K, OH, OW]: a conv kRowSlice over the kIm2col
-///              patch buffer its group shares (patches computed once).
+///   kImage     [N, Cin, H, W]: kConv or a conv kRowSlice — the direct
+///              sparse conv (kernels/sparse_conv.hpp). Each chunk of the
+///              batch (split across the bound IntraOp) pads its images
+///              into one scratch and reads every tap from it; the tap
+///              table is built once per call and shared by the chunks.
+///              The CSR matrix is the masked weight viewed as [Cout,
+///              Cin·K·K] — the lowering nn::Conv2d uses densely, so a
+///              masked checkpoint deploys its topology bit-for-bit.
 /// A fused residual always has the FULL output shape (every row of the
 /// matrix); the op adds its own row range of it.
 ///
@@ -119,9 +101,7 @@ class CsrOp final : public EvalOp {
         row_begin_(op.kind == PlanOpKind::kRowSlice ? op.row_begin : 0),
         row_end_(op.kind == PlanOpKind::kRowSlice ? op.row_end
                                                   : csr_->rows()),
-        layout_(op.kind == PlanOpKind::kConv ? Layout::kImage
-                : op.conv_slice              ? Layout::kPatches
-                                             : Layout::kFeatures),
+        conv_(op.is_conv()),
         in_channels_(op.in_channels),
         kernel_(op.kernel),
         stride_(op.stride),
@@ -133,7 +113,11 @@ class CsrOp final : public EvalOp {
         // Slices run their kernels inline: the partition group fan-out IS
         // the parallelism.
         intra_(op.kind == PlanOpKind::kRowSlice ? runtime::IntraOp{} : intra),
-        backend_(backend) {}
+        backend_(backend) {
+    // The direct conv indexes its tap table by weight column.
+    util::check(!conv_ || csr_->cols() == in_channels_ * kernel_ * kernel_,
+                "spconv weight columns must be Cin*K*K");
+  }
 
   std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
     auto copy = std::make_unique<CsrOp>(*this);
@@ -157,22 +141,22 @@ class CsrOp final : public EvalOp {
     const bool whole = row_begin_ == 0 && row_end_ == csr_->rows();
     const auto slice = csr_->row_slice(row_begin_, row_end_);
     std::string out;
-    if (layout_ == Layout::kImage) {
+    if (whole && conv_) {
       out = "spconv(" + std::to_string(in_channels_) + "->" +
             std::to_string(csr_->rows()) + ", k" + std::to_string(kernel_) +
             ", s" + std::to_string(stride_) + ", p" +
             std::to_string(padding_) + ", ";
-    } else if (whole && layout_ == Layout::kFeatures) {
+    } else if (whole) {
       out = "spmm(" + std::to_string(csr_->rows()) + "x" +
             std::to_string(csr_->cols()) + ", ";
     } else {
       out = "row_slice(" + std::to_string(row_begin_) + ":" +
             std::to_string(row_end_) + " of " +
             std::to_string(csr_->rows()) + ", ";
-      if (layout_ == Layout::kPatches) out += "conv, ";
+      if (conv_) out += "conv, ";
     }
     out += "nnz=" + std::to_string(slice.nnz());
-    if (whole && layout_ != Layout::kPatches) {
+    if (whole) {
       out += ", density=" + util::format_fixed(csr_->density() * 100.0, 1) +
              "%";
     }
@@ -195,22 +179,16 @@ class CsrOp final : public EvalOp {
   }
 
  private:
-  enum class Layout { kFeatures, kImage, kPatches };
+  tensor::ConvGeometry geometry(const tensor::Shape& in) const {
+    return tensor::ConvGeometry::square(in_channels_, kernel_, stride_,
+                                        padding_, in.dim(2), in.dim(3));
+  }
 
   /// Output shape for input shape `in` with `rows` output rows (channels).
   tensor::Shape shape_for(const tensor::Shape& in, std::size_t rows) const {
-    switch (layout_) {
-      case Layout::kFeatures:
-        return tensor::Shape({in.dim(0), rows});
-      case Layout::kImage: {
-        const tensor::ConvGeometry g = conv_geometry_for(
-            in_channels_, kernel_, stride_, padding_, in.dim(2), in.dim(3));
-        return tensor::Shape({in.dim(0), rows, g.out_h(), g.out_w()});
-      }
-      case Layout::kPatches:
-        return tensor::Shape({in.dim(0), rows, in.dim(2), in.dim(3)});
-    }
-    util::fail("unreachable CSR op layout");
+    if (!conv_) return tensor::Shape({in.dim(0), rows});
+    const tensor::ConvGeometry g = geometry(in);
+    return tensor::Shape({in.dim(0), rows, g.out_h(), g.out_w()});
   }
 
   /// FLOPs of `weights` multiply-accumulates per output position (one
@@ -243,23 +221,14 @@ class CsrOp final : public EvalOp {
                           const tensor::Tensor* residual) const {
     // Request tensors come from outside the program: check the input
     // layout and the whole residual shape before any kernel reads them.
-    switch (layout_) {
-      case Layout::kFeatures:
-        util::check(x.rank() == 2 && x.dim(1) == csr_->cols(),
-                    "spmm expects [N, " + std::to_string(csr_->cols()) +
-                        "], got " + x.shape().to_string());
-        break;
-      case Layout::kImage:
-        util::check(x.rank() == 4 && x.dim(1) == in_channels_,
-                    "spconv expects [N, " + std::to_string(in_channels_) +
-                        ", H, W], got " + x.shape().to_string());
-        break;
-      case Layout::kPatches:
-        util::check(x.rank() == 4 && x.dim(1) == csr_->cols(),
-                    "conv row_slice expects the [N, Cin*K*K, OH, OW] patch "
-                    "buffer, got " +
-                        x.shape().to_string());
-        break;
+    if (conv_) {
+      util::check(x.rank() == 4 && x.dim(1) == in_channels_,
+                  "spconv expects [N, " + std::to_string(in_channels_) +
+                      ", H, W], got " + x.shape().to_string());
+    } else {
+      util::check(x.rank() == 2 && x.dim(1) == csr_->cols(),
+                  "spmm expects [N, " + std::to_string(csr_->cols()) +
+                      "], got " + x.shape().to_string());
     }
     const float* res = nullptr;
     if (residual != nullptr) {
@@ -271,7 +240,7 @@ class CsrOp final : public EvalOp {
       res = residual->raw();
     }
     const auto slice = csr_->row_slice(row_begin_, row_end_);
-    if (layout_ == Layout::kFeatures) {
+    if (!conv_) {
       // Pre-offset the residual to this row range; its per-sample stride
       // stays the full output width.
       return slice.spmm(
@@ -284,34 +253,25 @@ class CsrOp final : public EvalOp {
     const std::size_t batch = x.dim(0);
     const std::size_t positions = y.dim(2) * y.dim(3);
     const std::size_t in_elems = x.dim(1) * x.dim(2) * x.dim(3);
+    const kernels::SparseConvInput input(geometry(x.shape()));
     // Images are independent, so splitting the batch gives every output
     // element exactly one writer and the result is bit-identical for any
     // chunk count. A single image always runs inline (PartitionRows is
     // the row-level alternative for batch-1 latency).
     runtime::intra_chunks(intra_, batch, [&](std::size_t n0, std::size_t n1) {
-      // kImage lowers each image into one per-chunk scratch (keeping
-      // run() const and thread-safe); kPatches reads the shared buffer.
-      std::vector<float> scratch;
-      tensor::ConvGeometry g;
-      if (layout_ == Layout::kImage) {
-        g = conv_geometry_for(in_channels_, kernel_, stride_, padding_,
-                              x.dim(2), x.dim(3));
-        scratch.resize(g.patch_size() * positions);
-      }
+      // One zeroed padded-image scratch per chunk keeps run() const and
+      // thread-safe; pad() rewrites only its interior per image.
+      std::vector<float> xpad(input.scratch_size(), 0.0f);
       for (std::size_t n = n0; n < n1; ++n) {
-        const float* patches = x.raw() + n * in_elems;
-        if (layout_ == Layout::kImage) {
-          tensor::im2col(patches, g, scratch.data());
-          patches = scratch.data();
-        }
+        input.pad(x.raw() + n * in_elems, xpad.data());
         // This row range's channel block of the sample's full residual.
         const float* r =
             res != nullptr
                 ? res + (n * csr_->rows() + row_begin_) * positions
                 : nullptr;
-        slice.spmm_cols_into(patches, positions,
-                             y.raw() + n * slice.rows() * positions,
-                             make_ep(r, 0), backend_);
+        slice.conv_into(input.view(xpad.data()),
+                        y.raw() + n * slice.rows() * positions,
+                        make_ep(r, 0), backend_);
       }
     });
     return y;
@@ -320,7 +280,7 @@ class CsrOp final : public EvalOp {
   std::shared_ptr<const M> csr_;
   std::size_t row_begin_;
   std::size_t row_end_;
-  Layout layout_;
+  bool conv_;  ///< kImage layout (else kFeatures)
   std::size_t in_channels_;
   std::size_t kernel_;
   std::size_t stride_;
@@ -331,69 +291,6 @@ class CsrOp final : public EvalOp {
   PlanEpilogue pe_;
   runtime::IntraOp intra_;
   const kernels::simd::KernelBackend* backend_;
-};
-
-/// Materialized im2col: [N, C, H, W] → the patch buffer [N, Cin·K·K,
-/// OH, OW] every row slice of a partitioned conv reads. Emitted only by
-/// PartitionRows, so the patches are computed once per batch instead of
-/// once per slice.
-class Im2colOp final : public EvalOp {
- public:
-  Im2colOp(std::size_t in_channels, std::size_t kernel, std::size_t stride,
-           std::size_t padding, runtime::IntraOp intra)
-      : in_channels_(in_channels),
-        kernel_(kernel),
-        stride_(stride),
-        padding_(padding),
-        intra_(intra) {}
-
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    (void)ctx;
-    return std::make_unique<Im2colOp>(*this);
-  }
-
-  tensor::Tensor run(const tensor::Tensor& x) const override {
-    util::check(x.rank() == 4 && x.dim(1) == in_channels_,
-                "im2col expects [N, " + std::to_string(in_channels_) +
-                    ", H, W], got " + x.shape().to_string());
-    const tensor::ConvGeometry g = conv_geometry_for(
-        in_channels_, kernel_, stride_, padding_, x.dim(2), x.dim(3));
-    const std::size_t batch = x.dim(0);
-    const std::size_t oh = g.out_h(), ow = g.out_w();
-    const std::size_t patch = g.patch_size();
-    tensor::Tensor cols({batch, patch, oh, ow});
-    const std::size_t image_elems = in_channels_ * g.in_h * g.in_w;
-    const std::size_t cols_elems = patch * oh * ow;
-    runtime::intra_chunks(intra_, batch, [&](std::size_t n0,
-                                             std::size_t n1) {
-      for (std::size_t n = n0; n < n1; ++n) {
-        // Straight into the shared batch buffer — no per-image scratch.
-        tensor::im2col(x.raw() + n * image_elems, g,
-                       cols.raw() + n * cols_elems);
-      }
-    });
-    return cols;
-  }
-
-  std::string describe() const override {
-    return "im2col(" + std::to_string(in_channels_) + "ch, k" +
-           std::to_string(kernel_) + ", s" + std::to_string(stride_) +
-           ", p" + std::to_string(padding_) + ")";
-  }
-
-  tensor::Shape out_shape(const tensor::Shape& in) const override {
-    const tensor::ConvGeometry g = conv_geometry_for(
-        in_channels_, kernel_, stride_, padding_, in.dim(2), in.dim(3));
-    return tensor::Shape(
-        {in.dim(0), g.patch_size(), g.out_h(), g.out_w()});
-  }
-
- private:
-  std::size_t in_channels_;
-  std::size_t kernel_;
-  std::size_t stride_;
-  std::size_t padding_;
-  runtime::IntraOp intra_;
 };
 
 /// Joins partition slices along axis 1 (features / channels): the slices
@@ -701,9 +598,6 @@ std::unique_ptr<EvalOp> bind_op(PlanOp& op, const runtime::IntraOp& intra,
       }
       return std::make_unique<CsrOp<sparse::CsrMatrix>>(std::move(op.csr), op,
                                                         intra, backend);
-    case PlanOpKind::kIm2col:
-      return std::make_unique<Im2colOp>(op.in_channels, op.kernel, op.stride,
-                                        op.padding, intra);
     case PlanOpKind::kConcatChannels: {
       // Total channels = sum of slice row counts, known statically.
       return std::make_unique<ConcatChannelsOp>(op.row_end - op.row_begin);
@@ -751,7 +645,7 @@ Executor Executor::bind(Plan&& plan, const runtime::IntraOp& intra,
     const PlanOp& head = plan.ops.front();
     const bool linear_head =
         head.kind == PlanOpKind::kSpmm ||
-        (head.kind == PlanOpKind::kRowSlice && !head.conv_slice);
+        (head.kind == PlanOpKind::kRowSlice && !head.is_conv());
     if (linear_head && head.inputs.front() == Plan::kInputId) {
       exec.input_features_ =
           head.csr != nullptr ? head.csr->cols() : head.qcsr->cols();
@@ -856,8 +750,7 @@ tensor::Tensor Executor::forward(const tensor::Tensor& x) const {
       // A partition group: sibling row slices of one split, each writing
       // its own values[] slot — one fan-out on the pool executes them
       // concurrently, the point of PartitionRows. Releases wait until the
-      // whole group is done (a shared patch buffer must outlive every
-      // slice).
+      // whole group is done (every slice reads the same input).
       const Group& g = groups_[group_start_[i] - 1];
       runtime::pool_of(intra_).run_chunks(
           g.count, g.count, [&](std::size_t b0, std::size_t b1) {

@@ -14,10 +14,10 @@
 // output loop: a whole kSpmm/kConv node is its full-range slice
 // [0, rows), a kRowSlice a sub-range of the parent its group shares.
 // Only the input layout differs, fixed at bind time from the node:
-// features (kSpmm, linear slices), images (kConv: im2col into per-chunk
-// scratch, batch split across the IntraOp) or the shared kIm2col patch
-// buffer (conv slices, which run inline — the group fan-out is their
-// parallelism).
+// features (kSpmm, linear slices) or images (kConv and conv slices: the
+// direct sparse conv reads every tap from a padded copy of the image;
+// whole convs split the batch across the IntraOp, slices run inline —
+// the group fan-out is their parallelism).
 #pragma once
 
 #include <memory>

@@ -198,35 +198,19 @@ void PartitionRows::run(Plan& plan) const {
     if (node_rows < options_.ways) continue;
 
     PlanOp original = std::move(plan.ops[i]);
-    const bool is_conv = original.kind == PlanOpKind::kConv;
     const std::vector<std::size_t> bounds =
         original.csr != nullptr
             ? original.csr->balanced_row_splits(options_.ways)
             : original.qcsr->balanced_row_splits(options_.ways);
 
     std::vector<PlanOp> repl;
-    repl.reserve(options_.ways + 2);
-    if (is_conv) {
-      // Hoist im2col out of the slices: patches are computed once into a
-      // shared buffer every slice streams. Only the primary input feeds
-      // the patch buffer — a fused residual edge belongs to the slices.
-      PlanOp im;
-      im.kind = PlanOpKind::kIm2col;
-      im.inputs = {original.inputs.front()};
-      im.in_channels = original.in_channels;
-      im.kernel = original.kernel;
-      im.stride = original.stride;
-      im.padding = original.padding;
-      repl.push_back(std::move(im));
-    }
-    const std::size_t patches_id = i;  // new id of the im2col node
+    repl.reserve(options_.ways + 1);
     for (std::size_t j = 0; j < options_.ways; ++j) {
+      // Every slice reads the node's own input — a conv slice runs the
+      // direct conv over its row range of the filters.
       PlanOp slice;
       slice.kind = PlanOpKind::kRowSlice;
-      slice.conv_slice = is_conv;
-      slice.inputs = is_conv
-                         ? std::vector<std::size_t>{patches_id}
-                         : std::vector<std::size_t>{original.inputs.front()};
+      slice.inputs = {original.inputs.front()};
       // A fused epilogue splits with the node: every slice applies the
       // annotation to its own row range, consuming the shared residual
       // edge (its id precedes i, so it survives the remap untouched).
@@ -249,20 +233,17 @@ void PartitionRows::run(Plan& plan) const {
       slice.folded_bn = original.folded_bn;
       slice.sparse_ordinal = original.sparse_ordinal;
       slice.bn_ordinal = original.bn_ordinal;
-      if (is_conv) {
-        slice.in_channels = original.in_channels;
-        slice.kernel = original.kernel;
-        slice.stride = original.stride;
-        slice.padding = original.padding;
-      }
+      slice.in_channels = original.in_channels;
+      slice.kernel = original.kernel;
+      slice.stride = original.stride;
+      slice.padding = original.padding;
       slice.partition_group = next_group;
       repl.push_back(std::move(slice));
     }
     PlanOp concat;
     concat.kind = PlanOpKind::kConcatChannels;
-    const std::size_t first_slice = i + (is_conv ? 1 : 0);
     for (std::size_t j = 0; j < options_.ways; ++j) {
-      concat.inputs.push_back(first_slice + j);
+      concat.inputs.push_back(i + j);
     }
     repl.push_back(std::move(concat));
     ++next_group;

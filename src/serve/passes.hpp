@@ -115,11 +115,11 @@ struct PartitionRowsOptions {
 /// Splits the heaviest CSR nodes into `ways` cost-balanced row-range
 /// slices (CsrMatrix::balanced_row_splits — equal stored-nonzero work per
 /// slice, per Parger et al.'s cost-proportional balancing) joined by a
-/// concat node. A split conv additionally hoists its im2col into a shared
-/// patch-buffer node so the patches are computed once, not once per
-/// slice. The executor runs each slice group as one fan-out on the
-/// runtime pool; results match the unpartitioned program bit-for-bit
-/// because row slicing preserves every per-row reduction order.
+/// concat node; each slice of a conv runs the direct sparse conv over the
+/// image for its own filters. The executor runs each slice group as one
+/// fan-out on the runtime pool; results match the unpartitioned program
+/// bit-for-bit because row slicing preserves every per-row reduction
+/// order.
 class PartitionRows final : public Pass {
  public:
   explicit PartitionRows(PartitionRowsOptions options = {});

@@ -15,7 +15,7 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "sparse/flops.hpp"
-#include "tensor/im2col.hpp"
+#include "tensor/conv_geometry.hpp"
 #include "util/check.hpp"
 #include "util/string_util.hpp"
 
@@ -27,8 +27,6 @@ const char* to_string(PlanOpKind kind) {
       return "spmm";
     case PlanOpKind::kConv:
       return "spconv";
-    case PlanOpKind::kIm2col:
-      return "im2col";
     case PlanOpKind::kScaleShift:
       return "scale_shift";
     case PlanOpKind::kActivation:
@@ -79,22 +77,6 @@ void append_fused(std::string& out, const PlanEpilogue& epilogue) {
 }
 
 namespace {
-
-tensor::ConvGeometry conv_geometry(const PlanOp& op, std::size_t in_h,
-                                   std::size_t in_w) {
-  util::check(in_h + 2 * op.padding >= op.kernel &&
-                  in_w + 2 * op.padding >= op.kernel,
-              "plan conv input smaller than kernel");
-  tensor::ConvGeometry g;
-  g.in_channels = op.in_channels;
-  g.in_h = in_h;
-  g.in_w = in_w;
-  g.kernel_h = op.kernel;
-  g.kernel_w = op.kernel;
-  g.stride = op.stride;
-  g.padding = op.padding;
-  return g;
-}
 
 // A CSR node carries exactly one of csr (fp32) / qcsr (int8); these
 // helpers let annotate/dump/validate read the weight geometry without
@@ -231,15 +213,11 @@ std::vector<Plan::NodeCost> Plan::annotate(
         const std::size_t rows = r.end - r.begin;
         const std::size_t dense = rows * weights_cols(op);
         const std::size_t nnz = range_nnz(op);
-        if (op.kind == PlanOpKind::kConv || op.conv_slice) {
-          // A whole conv reads the image; a conv slice reads the shared
-          // kIm2col patch buffer [N, P, OH, OW].
-          std::size_t oh = in.dim(2), ow = in.dim(3);
-          if (op.kind == PlanOpKind::kConv) {
-            const tensor::ConvGeometry g = conv_geometry(op, oh, ow);
-            oh = g.out_h();
-            ow = g.out_w();
-          }
+        if (op.is_conv()) {
+          const tensor::ConvGeometry g = tensor::ConvGeometry::square(
+              op.in_channels, op.kernel, op.stride, op.padding, in.dim(2),
+              in.dim(3));
+          const std::size_t oh = g.out_h(), ow = g.out_w();
           c.out_shape = tensor::Shape({batch, rows, oh, ow});
           c.flops = sparse::conv_nnz_flops(nnz, oh, ow, batch);
           c.dense_flops = sparse::conv_nnz_flops(dense, oh, ow, batch);
@@ -252,12 +230,6 @@ std::vector<Plan::NodeCost> Plan::annotate(
         c.flops += ep;
         c.dense_flops += ep;
         c.weight_bytes = node_weight_bytes(op);
-        break;
-      }
-      case PlanOpKind::kIm2col: {
-        const tensor::ConvGeometry g = conv_geometry(op, in.dim(2), in.dim(3));
-        c.out_shape =
-            tensor::Shape({batch, g.patch_size(), g.out_h(), g.out_w()});
         break;
       }
       case PlanOpKind::kConcatChannels: {
@@ -381,17 +353,12 @@ std::string Plan::dump(const tensor::Shape* sample_shape) const {
         out += ", nnz=" + std::to_string(range_nnz(op));
         if (op.kind == PlanOpKind::kRowSlice) {
           out += ", group " + std::to_string(op.partition_group);
-          if (op.conv_slice) out += ", conv";
+          if (op.is_conv()) out += ", conv";
         }
         if (op.folded_bn) out += ", +bn";
         if (op.qcsr != nullptr) out += ", int8";
         append_fused(out, op.epilogue);
         out += ")";
-        break;
-      case PlanOpKind::kIm2col:
-        out += "(" + std::to_string(op.in_channels) + "ch, k" +
-               std::to_string(op.kernel) + " s" + std::to_string(op.stride) +
-               " p" + std::to_string(op.padding) + ")";
         break;
       case PlanOpKind::kScaleShift:
         out += "(" + std::to_string(op.scale.size()) + ")";

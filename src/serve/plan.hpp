@@ -52,12 +52,11 @@ class BatchNorm;
 namespace dstee::serve {
 
 /// Node kinds a Plan can hold. Lowering emits the module-shaped subset;
-/// kIm2col / kRowSlice / kConcatChannels only appear once PartitionRows
-/// has rewritten a CSR node into cost-balanced row-range sub-ops.
+/// kRowSlice / kConcatChannels only appear once PartitionRows has
+/// rewritten a CSR node into cost-balanced row-range sub-ops.
 enum class PlanOpKind {
   kSpmm,            ///< CSR Linear: Y = X·Wᵀ + b
-  kConv,            ///< CSR conv: per-image im2col + SpMM over patches
-  kIm2col,          ///< materialized patch matrix [N, Cin·K·K, OH, OW]
+  kConv,            ///< CSR conv: direct sparse conv over the image
   kScaleShift,      ///< eval-mode batch-norm as per-channel affine
   kActivation,      ///< ReLU / LeakyReLU / Sigmoid / Tanh
   kDropout,         ///< identity at eval; removed by ElideDropout
@@ -126,11 +125,13 @@ struct PlanOp {
   /// the extra arity on CSR kinds.
   PlanEpilogue epilogue;
 
-  // kConv / kIm2col / conv-sliced kRowSlice ----------------------------
+  // kConv / conv kRowSlice ---------------------------------------------
   std::size_t in_channels = 0;
   std::size_t kernel = 0;
   std::size_t stride = 1;
   std::size_t padding = 0;
+  /// A kConv node or a row slice of one: reads the image [N, Cin, H, W].
+  bool is_conv() const { return kernel > 0; }
 
   // kScaleShift --------------------------------------------------------
   std::vector<float> scale;
@@ -154,7 +155,6 @@ struct PlanOp {
   // kRowSlice ----------------------------------------------------------
   std::size_t row_begin = 0;
   std::size_t row_end = 0;
-  bool conv_slice = false;  ///< input is a kIm2col patch buffer
   /// Slices created by one PartitionRows split share a group id; the
   /// executor runs each group as one fan-out on the runtime pool.
   std::size_t partition_group = kNoGroup;

@@ -76,6 +76,15 @@ void CsrRowSlice::spmm_cols_into(const float* b, std::size_t n, float* out,
                ep);
 }
 
+void CsrRowSlice::conv_into(const kernels::simd::ConvView& x, float* out,
+                            const kernels::Epilogue& ep,
+                            const kernels::simd::KernelBackend* backend)
+    const {
+  const kernels::simd::KernelBackend& be =
+      backend != nullptr ? *backend : kernels::simd::active_backend();
+  be.conv(view_of(row_ptr_, col_idx_, values_, rows_, cols_), x, out, ep);
+}
+
 CsrRowSlice CsrRowSlice::row_slice(std::size_t r0, std::size_t r1) const {
   util::check(r0 <= r1 && r1 <= rows_,
               "row_slice requires 0 <= r0 <= r1 <= rows");

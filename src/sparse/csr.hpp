@@ -20,6 +20,7 @@
 
 namespace dstee::kernels::simd {
 struct KernelBackend;
+struct ConvView;
 }  // namespace dstee::kernels::simd
 
 namespace dstee::sparse {
@@ -68,15 +69,22 @@ class CsrRowSlice {
                  const kernels::simd::KernelBackend* backend = nullptr) const;
 
   /// Y = A[r0:r1)·B for a dense patch matrix B[cols, n] given as a raw
-  /// row-major pointer, writing rows()·n floats to `out` — the partitioned
-  /// conv path over a shared im2col buffer. `ep` finishes each output row
-  /// while it is hot: Y[r, j] = act(acc + ep.bias[r] + ep.residual[r·n +
-  /// j]) — ep.residual (when set) is laid out exactly like `out`, i.e.
-  /// already offset to this slice's block of the sample.
+  /// row-major pointer, writing rows()·n floats to `out`. `ep` finishes
+  /// each output row while it is hot: Y[r, j] = act(acc + ep.bias[r] +
+  /// ep.residual[r·n + j]) — ep.residual (when set) is laid out exactly
+  /// like `out`, i.e. already offset to this slice's block of the sample.
   void spmm_cols_into(const float* b, std::size_t n, float* out,
                       const kernels::Epilogue& ep = {},
                       const kernels::simd::KernelBackend* backend =
                           nullptr) const;
+
+  /// Direct sparse conv of one padded image (kernels::SparseConvInput):
+  /// bit-identical to spmm_cols_into over the image's im2col patches,
+  /// writing rows()·OH·OW floats with the same epilogue layout. The
+  /// serve/ conv path, whole node or row slice.
+  void conv_into(const kernels::simd::ConvView& x, float* out,
+                 const kernels::Epilogue& ep = {},
+                 const kernels::simd::KernelBackend* backend = nullptr) const;
 
   /// Slice of a slice: rows [r0, r1) of THIS view (still zero-copy into
   /// the original parent).
@@ -144,14 +152,14 @@ class CsrMatrix {
   tensor::Tensor spmm(const tensor::Tensor& x, std::size_t num_threads) const;
 
   /// Y = A·B for dense B[cols, n] (row-major) → Y[rows, n]: the CSR kernel
-  /// over an im2col patch matrix, whose columns are output positions. Each
-  /// stored entry streams one contiguous B row, so the inner loop stays
-  /// unit-stride for any sparsity pattern.
+  /// over an im2col patch matrix, whose columns are output positions — the
+  /// reference the direct conv (CsrRowSlice::conv_into) is tested
+  /// against. Each stored entry streams one contiguous B row, so the inner
+  /// loop stays unit-stride for any sparsity pattern.
   tensor::Tensor spmm_cols(const tensor::Tensor& cols) const;
 
   /// spmm_cols writing into caller-owned storage of rows()·cols.dim(1)
-  /// floats — the per-image conv path, which writes straight into the
-  /// [N, Cout, Ho, Wo] output tensor without an intermediate. `ep`
+  /// floats (e.g. one image's block of an [N, Cout, Ho, Wo] output). `ep`
   /// follows the CsrRowSlice::spmm_cols_into layout (bias per row,
   /// residual laid out like `out`).
   void spmm_cols_into(const tensor::Tensor& cols, float* out,

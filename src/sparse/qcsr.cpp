@@ -145,6 +145,16 @@ void QCsrRowSlice::spmm_cols_into(
                 b, n, out, ep);
 }
 
+void QCsrRowSlice::conv_into(const kernels::simd::ConvView& x, float* out,
+                             const kernels::Epilogue& ep,
+                             const kernels::simd::KernelBackend* backend)
+    const {
+  const kernels::simd::KernelBackend& be =
+      backend != nullptr ? *backend : kernels::simd::active_backend();
+  be.qconv(view_of(row_ptr_, col_idx_, values_, scales_, rows_, cols_), x,
+           out, ep);
+}
+
 QCsrRowSlice QCsrRowSlice::row_slice(std::size_t r0, std::size_t r1) const {
   util::check(r0 <= r1 && r1 <= rows_,
               "row_slice requires 0 <= r0 <= r1 <= rows");

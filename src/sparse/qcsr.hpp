@@ -30,6 +30,7 @@
 
 namespace dstee::kernels::simd {
 struct KernelBackend;
+struct ConvView;
 }  // namespace dstee::kernels::simd
 
 namespace dstee::sparse {
@@ -59,11 +60,16 @@ class QCsrRowSlice {
                  const kernels::Epilogue& ep = {},
                  const kernels::simd::KernelBackend* backend = nullptr) const;
 
-  /// Quantized CsrRowSlice::spmm_cols_into (the conv/im2col path).
+  /// Quantized CsrRowSlice::spmm_cols_into (over im2col patches).
   void spmm_cols_into(const float* b, std::size_t n, float* out,
                       const kernels::Epilogue& ep = {},
                       const kernels::simd::KernelBackend* backend =
                           nullptr) const;
+
+  /// Quantized CsrRowSlice::conv_into (the direct conv).
+  void conv_into(const kernels::simd::ConvView& x, float* out,
+                 const kernels::Epilogue& ep = {},
+                 const kernels::simd::KernelBackend* backend = nullptr) const;
 
   /// Slice of a slice (still zero-copy into the original parent).
   QCsrRowSlice row_slice(std::size_t r0, std::size_t r1) const;

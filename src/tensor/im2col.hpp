@@ -8,29 +8,10 @@
 
 #include <cstddef>
 
+#include "tensor/conv_geometry.hpp"
 #include "tensor/tensor.hpp"
 
 namespace dstee::tensor {
-
-/// Geometry of a conv2d application to one image.
-struct ConvGeometry {
-  std::size_t in_channels = 0;
-  std::size_t in_h = 0;
-  std::size_t in_w = 0;
-  std::size_t kernel_h = 0;
-  std::size_t kernel_w = 0;
-  std::size_t stride = 1;
-  std::size_t padding = 0;
-
-  std::size_t out_h() const {
-    return (in_h + 2 * padding - kernel_h) / stride + 1;
-  }
-  std::size_t out_w() const {
-    return (in_w + 2 * padding - kernel_w) / stride + 1;
-  }
-  /// Rows of the lowered matrix: Cin · Kh · Kw.
-  std::size_t patch_size() const { return in_channels * kernel_h * kernel_w; }
-};
 
 /// Lowers one image `x[C, H, W]` (given as a flat span base pointer) into
 /// `cols[patch_size, out_h*out_w]`. `cols` must be pre-shaped; zero padding
@@ -38,9 +19,9 @@ struct ConvGeometry {
 void im2col(const float* image, const ConvGeometry& g, Tensor& cols);
 
 /// im2col writing into caller-owned storage of patch_size·out_h·out_w
-/// floats — the batched patch-buffer path (serve Im2colOp writes each
-/// image's patches straight into the shared [N, P, OH, OW] tensor, no
-/// per-image scratch or relocation copy).
+/// floats — the per-image path of the dense conv forward
+/// (kernels::conv2d_forward) and the reference the direct sparse conv
+/// (kernels/sparse_conv.hpp, which serve/ runs) is tested against.
 void im2col(const float* image, const ConvGeometry& g, float* cols);
 
 /// Adjoint of im2col: scatters `cols[patch_size, out_h*out_w]` back into the

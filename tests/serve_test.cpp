@@ -139,7 +139,7 @@ TEST(CompiledNet, RejectsUnsupportedLayers) {
   EXPECT_THROW(serve::CompiledNet::compile(seq), util::CheckError);
 }
 
-// --- conv lowering: CSR over im2col patches -----------------------------
+// --- conv lowering: CSR weights run as direct sparse convs ---------------
 
 /// Conv chains across stride/padding/bias/BN variants must reproduce the
 /// eval-mode dense forward.
@@ -1636,9 +1636,9 @@ TEST(CsrOp, FusedConvResidualWithWrongSpatialDimsThrows) {
 class PartitionedFusedConv : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PartitionedFusedConv, MatchesWholeConvBitForBit) {
-  // Row slices over a shared patch buffer, each adding its channel block
-  // of a fused residual, must reproduce the whole conv — which splits the
-  // batch across two intra-op chunks — bit for bit.
+  // Conv row slices, each adding its channel block of a fused residual,
+  // must reproduce the whole conv — which splits the batch across two
+  // intra-op chunks — bit for bit.
   models::ResNetConfig cfg;
   cfg.depth = 18;
   cfg.image_size = 8;
@@ -1667,7 +1667,7 @@ TEST_P(PartitionedFusedConv, MatchesWholeConvBitForBit) {
   bool sliced_residual = false;
   for (const serve::PlanOp& op : plan.ops) {
     sliced_residual |= op.kind == serve::PlanOpKind::kRowSlice &&
-                       op.conv_slice && op.epilogue.add_residual;
+                       op.is_conv() && op.epilogue.add_residual;
   }
   ASSERT_TRUE(sliced_residual);
   const auto split_net = split.bind(std::move(plan));

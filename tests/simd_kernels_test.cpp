@@ -263,8 +263,8 @@ TEST(KernelBackend, EpilogueRangeBitIdentical) {
 
 TEST(KernelBackend, CompiledNetsMatchScalarBoundNet) {
   // The kernel-level identities above, end to end: a whole CompiledNet
-  // pinned to each available backend (linear SpMMs, BN-folded convs over
-  // im2col, activations, pooling) answers exactly what the scalar-pinned
+  // pinned to each available backend (linear SpMMs, BN-folded direct
+  // sparse convs, activations, pooling) answers exactly what the scalar-pinned
   // net answers, at the batch sizes a server forms.
   const auto compile_with = [](nn::Sequential& model,
                                const sparse::SparseModel& state,

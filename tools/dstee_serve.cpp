@@ -1,8 +1,8 @@
 // dstee_serve — sparse inference server + load generator.
 //
 // Compiles an MLP, VGG or ResNet through the staged serve compiler
-// (lower → pass pipeline → bind; Linear → CSR SpMM, Conv2d → im2col +
-// SpMM over patches, residual adds as graph joins), starts an
+// (lower → pass pipeline → bind; Linear → CSR SpMM, Conv2d → direct
+// sparse conv, residual adds as graph joins), starts an
 // InferenceServer (sharded replica worker groups pulling work-conserving
 // micro-batches from one queue; intra-op work runs on the persistent
 // runtime pool), drives it with either closed-loop client threads or an
@@ -28,7 +28,7 @@
 //   ./build/tools/dstee_run --model mlp --sparsity 0.95 --checkpoint m.bin
 //   ./build/tools/dstee_serve --checkpoint m.bin --in 32 --hidden 128,128
 //       --out 8 --clients 8 --requests 4000
-//   # serve a VGG-19 checkpoint (conv layers deploy as CSR over im2col):
+//   # serve a VGG-19 checkpoint (conv layers run as direct sparse convs):
 //   ./build/tools/dstee_run --model vgg19 --sparsity 0.9 --checkpoint v.bin
 //   ./build/tools/dstee_serve --model vgg19 --checkpoint v.bin
 //       --image-size 12 --classes 8 --width 0.1
