@@ -140,8 +140,7 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot() const {
   for (const Entry& e : entries_) {
     switch (e.kind) {
       case Kind::kCounter:
-        out.push_back(
-            {e.name, e.label, static_cast<double>(e.counter->value())});
+        out.push_back({e.name, e.label, e.counter->value()});
         break;
       case Kind::kGauge:
         out.push_back({e.name, e.label, e.gauge->value()});
@@ -182,8 +181,8 @@ std::string MetricsRegistry::prometheus_text() const {
     for (const Entry* e : fam) {
       switch (e->kind) {
         case Kind::kCounter:
-          os << sample_key(name, e->label) << " " << e->counter->value()
-             << "\n";
+          os << sample_key(name, e->label) << " "
+             << format_double(e->counter->value()) << "\n";
           break;
         case Kind::kGauge:
           os << sample_key(name, e->label) << " "

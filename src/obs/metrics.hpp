@@ -30,14 +30,26 @@
 
 namespace dstee::obs {
 
-/// Monotonically increasing event count.
+/// Monotonically increasing total: an event count, or an accumulated
+/// amount such as seconds spent. A double, like a Prometheus counter;
+/// whole counts stay exact up to 2^53.
 class Counter {
  public:
-  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void add(double n = 1.0) {
+    // CAS on the double's bit pattern, as Histogram's sum does.
+    std::uint64_t old_bits = bits_.load(std::memory_order_relaxed);
+    while (!bits_.compare_exchange_weak(
+        old_bits,
+        std::bit_cast<std::uint64_t>(std::bit_cast<double>(old_bits) + n),
+        std::memory_order_relaxed)) {
+    }
+  }
+  double value() const {
+    return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
+  }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  std::atomic<std::uint64_t> bits_{0};
 };
 
 /// Last-write-wins instantaneous value.

@@ -45,10 +45,12 @@ struct CompileOptions {
   /// inside each conv op (a batch-1 conv always runs inline), and
   /// plane-/element-parallel inside the pooling and activation ops. Work
   /// executes on the persistent runtime pool — no per-call thread spawns
-  /// — so >1 pays off even at small batches. Keep at 1 when an
-  /// InferenceServer with many worker threads already saturates the
-  /// machine with request-level parallelism. PartitionRows slice groups
-  /// fan out on the pool regardless of this count.
+  /// — so >1 pays off even at small batches. Keep at 1 under a default
+  /// InferenceServer, whose one worker per core of the runtime budget
+  /// already saturates the machine with request-level parallelism;
+  /// server workers × this count should stay within that budget.
+  /// PartitionRows slice groups fan out on the pool regardless of this
+  /// count.
   std::size_t intra_op_threads = 1;
   /// Pool executing the intra-op chunks and partition-group fan-outs;
   /// nullptr = the process-wide runtime::default_pool(). Tests inject

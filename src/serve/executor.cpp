@@ -1,5 +1,6 @@
 #include "serve/executor.hpp"
 
+#include <algorithm>
 #include <type_traits>
 #include <utility>
 
@@ -58,6 +59,14 @@ tensor::Tensor EvalOp::run_many(
   (void)xs;
   util::fail("EvalOp: run_many() on an op of arity " +
              std::to_string(arity()));
+}
+
+bool EvalOp::run_in_place(tensor::Tensor& io, const tensor::Tensor* other,
+                          std::size_t slot) const {
+  (void)io;
+  (void)other;
+  (void)slot;
+  return false;
 }
 
 namespace {
@@ -135,6 +144,20 @@ class CsrOp final : public EvalOp {
   tensor::Tensor run2(const tensor::Tensor& x,
                       const tensor::Tensor& residual) const override {
     return run_impl(x, &residual);
+  }
+
+  /// A whole conv writes over its image when an output image is exactly
+  /// an input image's size: each chunk copies image n into its padded
+  /// scratch before it writes output image n over the same bytes.
+  bool run_in_place(tensor::Tensor& io, const tensor::Tensor* other,
+                    std::size_t slot) const override {
+    if (!conv_ || slot != 0) return false;
+    const float* res = check_operands(io, other);
+    const tensor::Shape out = out_shape(io.shape());
+    if (out.numel() != io.numel()) return false;
+    conv_images(io, res, io.raw());
+    io.reshape_in_place(out);
+    return true;
   }
 
   std::string describe() const override {
@@ -217,10 +240,11 @@ class CsrOp final : public EvalOp {
     return ep;
   }
 
-  tensor::Tensor run_impl(const tensor::Tensor& x,
-                          const tensor::Tensor* residual) const {
-    // Request tensors come from outside the program: check the input
-    // layout and the whole residual shape before any kernel reads them.
+  /// Request tensors come from outside the program: checks the input
+  /// layout and the whole residual shape before any kernel reads them,
+  /// and returns the residual's data (null without one).
+  const float* check_operands(const tensor::Tensor& x,
+                              const tensor::Tensor* residual) const {
     if (conv_) {
       util::check(x.rank() == 4 && x.dim(1) == in_channels_,
                   "spconv expects [N, " + std::to_string(in_channels_) +
@@ -239,8 +263,14 @@ class CsrOp final : public EvalOp {
                       residual->shape().to_string());
       res = residual->raw();
     }
-    const auto slice = csr_->row_slice(row_begin_, row_end_);
+    return res;
+  }
+
+  tensor::Tensor run_impl(const tensor::Tensor& x,
+                          const tensor::Tensor* residual) const {
+    const float* res = check_operands(x, residual);
     if (!conv_) {
+      const auto slice = csr_->row_slice(row_begin_, row_end_);
       // Pre-offset the residual to this row range; its per-sample stride
       // stays the full output width.
       return slice.spmm(
@@ -249,11 +279,21 @@ class CsrOp final : public EvalOp {
                   res != nullptr ? csr_->rows() : 0),
           backend_);
     }
-    tensor::Tensor y(shape_for(x.shape(), slice.rows()));
+    tensor::Tensor y(out_shape(x.shape()));
+    conv_images(x, res, y.raw());
+    return y;
+  }
+
+  /// The direct conv of images `x` into `y` (out_shape(x.shape())), which
+  /// may alias x when an output image is an input image's size.
+  void conv_images(const tensor::Tensor& x, const float* res, float* y) const {
+    const auto slice = csr_->row_slice(row_begin_, row_end_);
+    const tensor::ConvGeometry g = geometry(x.shape());
     const std::size_t batch = x.dim(0);
-    const std::size_t positions = y.dim(2) * y.dim(3);
+    const std::size_t positions = g.out_h() * g.out_w();
     const std::size_t in_elems = x.dim(1) * x.dim(2) * x.dim(3);
-    const kernels::SparseConvInput input(geometry(x.shape()));
+    const float* xs = x.raw();
+    const kernels::SparseConvInput input(g);
     // Images are independent, so splitting the batch gives every output
     // element exactly one writer and the result is bit-identical for any
     // chunk count. A single image always runs inline (PartitionRows is
@@ -263,18 +303,17 @@ class CsrOp final : public EvalOp {
       // thread-safe; pad() rewrites only its interior per image.
       std::vector<float> xpad(input.scratch_size(), 0.0f);
       for (std::size_t n = n0; n < n1; ++n) {
-        input.pad(x.raw() + n * in_elems, xpad.data());
+        input.pad(xs + n * in_elems, xpad.data());
         // This row range's channel block of the sample's full residual.
         const float* r =
             res != nullptr
                 ? res + (n * csr_->rows() + row_begin_) * positions
                 : nullptr;
         slice.conv_into(input.view(xpad.data()),
-                        y.raw() + n * slice.rows() * positions,
-                        make_ep(r, 0), backend_);
+                        y + n * slice.rows() * positions, make_ep(r, 0),
+                        backend_);
       }
     });
-    return y;
   }
 
   std::shared_ptr<const M> csr_;
@@ -377,13 +416,20 @@ class AddOp final : public EvalOp {
 
   tensor::Tensor run2(const tensor::Tensor& a,
                       const tensor::Tensor& b) const override {
-    util::check(a.shape() == b.shape(),
-                "residual add branches disagree: " + a.shape().to_string() +
-                    " vs " + b.shape().to_string());
-    kernels::Epilogue ep;
-    ep.residual = b.raw();
-    ep.has_act = relu_;
-    return kernels::apply_epilogue(a, ep, intra_, backend_);
+    check_branches(a, b);
+    return kernels::apply_epilogue(a, epilogue(b), intra_, backend_);
+  }
+
+  /// Either branch may take the sum: every element of both is read
+  /// before it is written, and the sum keeps its a + b order.
+  bool run_in_place(tensor::Tensor& io, const tensor::Tensor* other,
+                    std::size_t slot) const override {
+    const tensor::Tensor& a = slot == 0 ? io : *other;
+    const tensor::Tensor& b = slot == 0 ? *other : io;
+    check_branches(a, b);
+    kernels::apply_epilogue(a.raw(), io.raw(), io.numel(), epilogue(b),
+                            intra_, backend_);
+    return true;
   }
 
   std::string describe() const override {
@@ -391,6 +437,20 @@ class AddOp final : public EvalOp {
   }
 
  private:
+  static void check_branches(const tensor::Tensor& a,
+                             const tensor::Tensor& b) {
+    util::check(a.shape() == b.shape(),
+                "residual add branches disagree: " + a.shape().to_string() +
+                    " vs " + b.shape().to_string());
+  }
+
+  kernels::Epilogue epilogue(const tensor::Tensor& b) const {
+    kernels::Epilogue ep;
+    ep.residual = b.raw();
+    ep.has_act = relu_;
+    return ep;
+  }
+
   bool relu_;
   runtime::IntraOp intra_;
   const kernels::simd::KernelBackend* backend_;
@@ -453,16 +513,29 @@ class ActivationOp final : public EvalOp {
   }
 
   tensor::Tensor run(const tensor::Tensor& x) const override {
-    kernels::Epilogue ep;
-    ep.has_act = true;
-    ep.act = kind_;
-    ep.slope = slope_;
-    return kernels::apply_epilogue(x, ep, intra_, backend_);
+    return kernels::apply_epilogue(x, epilogue(), intra_, backend_);
+  }
+
+  bool run_in_place(tensor::Tensor& io, const tensor::Tensor* other,
+                    std::size_t slot) const override {
+    (void)other;
+    (void)slot;
+    kernels::apply_epilogue(io.raw(), io.raw(), io.numel(), epilogue(),
+                            intra_, backend_);
+    return true;
   }
 
   std::string describe() const override { return to_string(kind_); }
 
  private:
+  kernels::Epilogue epilogue() const {
+    kernels::Epilogue ep;
+    ep.has_act = true;
+    ep.act = kind_;
+    ep.slope = slope_;
+    return ep;
+  }
+
   ActKind kind_;
   float slope_;
   runtime::IntraOp intra_;
@@ -692,6 +765,7 @@ Executor Executor::bind(Plan&& plan, const runtime::IntraOp& intra,
     exec.nodes_.push_back(
         OpNode{bind_op(op, intra, backend), std::move(inputs)});
   }
+  exec.donor_slot_ = plan.donor_slots();
   exec.release_after_ = std::move(plan.release_after);
   return exec;
 }
@@ -707,6 +781,18 @@ void Executor::run_node(std::size_t i, std::vector<tensor::Tensor>& values,
   auto value_of = [&](std::size_t id) -> const tensor::Tensor& {
     return id == kInputId ? x : values[id];
   };
+  const std::size_t slot = donor_slot_[i];
+  if (slot != Plan::kNoDonor) {
+    // The donor is never the caller's input nor another operand, and no
+    // later node reads it: its storage becomes this node's output.
+    tensor::Tensor& io = values[node.inputs[slot]];
+    const tensor::Tensor* other =
+        node.inputs.size() == 2 ? &value_of(node.inputs[1 - slot]) : nullptr;
+    if (node.op->run_in_place(io, other, slot)) {
+      values[i] = std::move(io);
+      return;
+    }
+  }
   if (node.inputs.size() == 1) {
     values[i] = node.op->run(value_of(node.inputs[0]));
   } else if (node.inputs.size() == 2) {
@@ -721,6 +807,31 @@ void Executor::run_node(std::size_t i, std::vector<tensor::Tensor>& values,
 }
 
 tensor::Tensor Executor::forward(const tensor::Tensor& x) const {
+  const std::size_t batch = x.rank() >= 1 ? x.dim(0) : 0;
+  const std::size_t tile = Plan::forward_tile(batch);
+  if (tile == batch) return forward_tile(x);
+  const std::size_t in_per = x.numel() / batch;
+  std::vector<std::size_t> dims = x.shape().dims();
+  tensor::Tensor y;
+  std::size_t out_per = 0;
+  for (std::size_t n0 = 0; n0 < batch; n0 += tile) {
+    const std::size_t n = std::min(tile, batch - n0);
+    dims[0] = n;
+    tensor::Tensor part{tensor::Shape(dims)};
+    std::copy_n(x.raw() + n0 * in_per, n * in_per, part.raw());
+    const tensor::Tensor out = forward_tile(part);
+    if (n0 == 0) {
+      std::vector<std::size_t> out_dims = out.shape().dims();
+      out_per = out.numel() / n;
+      out_dims[0] = batch;
+      y = tensor::Tensor(tensor::Shape(out_dims));
+    }
+    std::copy_n(out.raw(), n * out_per, y.raw() + n0 * out_per);
+  }
+  return y;
+}
+
+tensor::Tensor Executor::forward_tile(const tensor::Tensor& x) const {
   // nodes_ is non-empty (checked at bind). Intermediates are released per
   // the FreeAfterLastUse annotation, so peak memory tracks the graph's
   // width; without the pass everything stays live until return.
@@ -795,6 +906,7 @@ Executor Executor::clone_with(CloneContext& ctx) const {
     copy.nodes_.push_back(OpNode{node.op->clone(ctx), node.inputs});
   }
   copy.release_after_ = release_after_;
+  copy.donor_slot_ = donor_slot_;
   copy.groups_ = groups_;
   copy.group_start_ = group_start_;
   copy.intra_ = intra_;

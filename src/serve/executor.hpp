@@ -4,10 +4,12 @@
 // Executor::bind() consumes a Plan — weights move out of the plan nodes
 // into ops — and fixes the execution policy (runtime::IntraOp). The
 // result is the immutable, thread-safe program CompiledNet serves:
-// forward() walks the ops in topological order, releases intermediates
-// according to the plan's FreeAfterLastUse annotation, and runs every
-// PartitionRows slice group as one fan-out on the runtime pool so a
-// single sample's heaviest layers execute on several workers at once.
+// forward() runs a large batch as tiles (Plan::kForwardTile); for each
+// tile it walks the ops in topological order, releases intermediates
+// according to the plan's FreeAfterLastUse annotation, lets an op write
+// its output over an operand it reads last (Plan::donor_slots), and runs
+// every PartitionRows slice group as one fan-out on the runtime pool so
+// a single sample's heaviest layers execute on several workers at once.
 //
 // Every CSR node binds to ONE op type that computes a row range of its
 // (fp32 or int8) matrix with the bias and fused epilogue in the kernel's
@@ -101,6 +103,15 @@ class EvalOp {
   virtual tensor::Tensor run_many(
       const std::vector<const tensor::Tensor*>& xs) const;
 
+  /// Last-use donation (Plan::donor_slots): computes the op over `io`,
+  /// its operand `slot`, which no later node reads, leaving the output in
+  /// `io`. `other` is the node's other operand (binary ops), else null.
+  /// Returns false, with `io` untouched, when the op cannot write over
+  /// that operand for these shapes; the executor then runs it normally.
+  /// The result is bit-identical to run()/run2(). Default: never donates.
+  virtual bool run_in_place(tensor::Tensor& io, const tensor::Tensor* other,
+                            std::size_t slot) const;
+
   /// Short description for summaries, e.g. "spmm(128x32, ...)".
   virtual std::string describe() const = 0;
 
@@ -164,8 +175,9 @@ class Executor {
                        const kernels::simd::KernelBackend* backend = nullptr,
                        std::shared_ptr<obs::OpProfile> profile = nullptr);
 
-  /// Executes the graph in topological (emission) order. `x` is
-  /// [batch, ...]; thread-safe, may be called concurrently.
+  /// Executes the graph in topological (emission) order, in tiles of
+  /// Plan::forward_tile(batch) samples. `x` is [batch, ...]; thread-safe,
+  /// may be called concurrently.
   tensor::Tensor forward(const tensor::Tensor& x) const;
 
   /// Deep copy: every op (CSR arrays, biases, folded constants) is
@@ -212,6 +224,9 @@ class Executor {
     std::size_t count = 0;
   };
 
+  /// One tile's pass over the graph.
+  tensor::Tensor forward_tile(const tensor::Tensor& x) const;
+
   void run_node(std::size_t i, std::vector<tensor::Tensor>& values,
                 const tensor::Tensor& x) const;
 
@@ -222,6 +237,9 @@ class Executor {
   /// release_after_[i]: values to free once node i (or its group) ran.
   /// Empty when FreeAfterLastUse did not run — keep everything live.
   std::vector<std::vector<std::size_t>> release_after_;
+  /// donor_slot_[i]: Plan::donor_slots() — the operand whose buffer node
+  /// i may write its output over, or Plan::kNoDonor.
+  std::vector<std::size_t> donor_slot_;
   std::vector<Group> groups_;
   /// group_start_[i] is 1 + index into groups_ when node i opens a group,
   /// else 0.

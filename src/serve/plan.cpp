@@ -1,5 +1,6 @@
 #include "serve/plan.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <unordered_map>
@@ -183,6 +184,88 @@ std::vector<std::size_t> Plan::use_counts() const {
   return counts;
 }
 
+std::vector<std::size_t> Plan::donor_slots() const {
+  std::vector<std::size_t> slots(ops.size(), kNoDonor);
+  if (release_after.empty()) return slots;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const PlanOp& op = ops[i];
+    if (op.kind != PlanOpKind::kActivation && op.kind != PlanOpKind::kAdd &&
+        op.kind != PlanOpKind::kConv) {
+      continue;
+    }
+    // A conv may only write over its image, never over its residual.
+    const std::size_t candidates =
+        op.kind == PlanOpKind::kConv ? 1 : op.inputs.size();
+    const std::vector<std::size_t>& released = release_after[i];
+    for (std::size_t s = 0; s < candidates; ++s) {
+      const std::size_t id = op.inputs[s];
+      if (id == kInputId ||
+          std::count(op.inputs.begin(), op.inputs.end(), id) > 1 ||
+          std::find(released.begin(), released.end(), id) ==
+              released.end()) {
+        continue;
+      }
+      slots[i] = s;
+      break;
+    }
+  }
+  return slots;
+}
+
+std::size_t Plan::forward_tile(std::size_t batch) {
+  const std::size_t tiles = (batch + kForwardTile - 1) / kForwardTile;
+  return tiles <= 1 ? batch : (batch + tiles - 1) / tiles;
+}
+
+std::size_t Plan::peak_live_bytes(const tensor::Shape& sample_shape,
+                                  std::size_t batch) const {
+  const std::vector<NodeCost> costs = annotate(sample_shape);
+  const std::vector<std::size_t> donors = donor_slots();
+  // annotate() shapes carry a batch-1 axis; every size scales with the
+  // samples a tile forwards.
+  const std::size_t tile = forward_tile(batch);
+  auto bytes = [&](std::size_t id) {
+    const std::size_t numel =
+        id == kInputId ? sample_shape.numel() : costs[id].out_shape.numel();
+    return numel * tile * sizeof(float);
+  };
+  // A tiled forward keeps the caller's whole input and the whole output
+  // live beside each tile's own input copy.
+  const std::size_t outer =
+      tile == batch ? 0
+                    : (sample_shape.numel() + costs.back().out_shape.numel()) *
+                          batch * sizeof(float);
+  std::size_t live = outer + bytes(kInputId);
+  std::size_t peak = live;
+  std::vector<bool> donated(ops.size(), false);
+  std::vector<std::size_t> pending;  // releases waiting for a group's end
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const std::size_t slot = donors[i];
+    if (slot != kNoDonor && bytes(ops[i].inputs[slot]) == bytes(i)) {
+      // The output takes over the donor's bytes.
+      donated[ops[i].inputs[slot]] = true;
+    } else {
+      live += bytes(i);
+    }
+    peak = std::max(peak, live);
+    if (!release_after.empty()) {
+      pending.insert(pending.end(), release_after[i].begin(),
+                     release_after[i].end());
+    }
+    const bool group_continues =
+        i + 1 < ops.size() && ops[i].kind == PlanOpKind::kRowSlice &&
+        ops[i].partition_group != PlanOp::kNoGroup &&
+        ops[i + 1].kind == PlanOpKind::kRowSlice &&
+        ops[i + 1].partition_group == ops[i].partition_group;
+    if (group_continues) continue;
+    for (const std::size_t id : pending) {
+      if (!donated[id]) live -= bytes(id);
+    }
+    pending.clear();
+  }
+  return peak;
+}
+
 std::vector<Plan::NodeCost> Plan::annotate(
     const tensor::Shape& sample_shape,
     const obs::OpProfile* measured) const {
@@ -303,7 +386,8 @@ std::vector<Plan::NodeCost> Plan::annotate(
 #pragma GCC diagnostic ignored "-Wrestrict"
 #endif
 
-std::string Plan::dump(const tensor::Shape* sample_shape) const {
+std::string Plan::dump(const tensor::Shape* sample_shape,
+                       std::size_t batch) const {
   std::vector<NodeCost> costs;
   if (sample_shape != nullptr) costs = annotate(*sample_shape);
 
@@ -393,6 +477,14 @@ std::string Plan::dump(const tensor::Shape* sample_shape) const {
     }
     append_producers(out, i, op.inputs);
     out += "\n";
+  }
+  if (sample_shape != nullptr) {
+    const std::size_t peak = peak_live_bytes(*sample_shape, batch);
+    out += "peak live activations at batch " + std::to_string(batch) + ": " +
+           std::to_string(peak) + " bytes (" +
+           util::format_fixed(static_cast<double>(peak) / (1024.0 * 1024.0),
+                              2) +
+           " MiB, input included)\n";
   }
   return out;
 }

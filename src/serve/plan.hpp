@@ -179,6 +179,17 @@ struct Plan {
   /// Producer id meaning "the network input".
   static constexpr std::size_t kInputId = static_cast<std::size_t>(-1);
 
+  /// The executor runs a forward over more than kForwardTile samples as
+  /// equal tiles of at most kForwardTile samples, one after another, so
+  /// intermediates scale with the tile instead of the batch: a server
+  /// worker holds at most a tile's activations. Every op computes each
+  /// sample on its own, so tiled results are bit-identical.
+  static constexpr std::size_t kForwardTile = 8;
+
+  /// Samples in each tile of a `batch`-sample forward (the last may be
+  /// smaller): the fewest tiles of at most kForwardTile, sized equally.
+  static std::size_t forward_tile(std::size_t batch);
+
   std::vector<PlanOp> ops;
 
   /// release_after[i] lists node ids whose intermediate may be freed once
@@ -208,6 +219,34 @@ struct Plan {
   /// Consumer count per node (the network output has none).
   std::vector<std::size_t> use_counts() const;
 
+  /// donor_slots() entry of a node that allocates its output.
+  static constexpr std::size_t kNoDonor = static_cast<std::size_t>(-1);
+
+  /// Last-use buffer donation: per node, the operand slot whose storage
+  /// the node's output may take over, else kNoDonor. A slot qualifies
+  /// when the node is the operand's last reader (its release list names
+  /// it), the operand is not also another operand of the node, is not
+  /// the caller's input, and the node is a kActivation or kAdd (any
+  /// operand: every element is read before it is written) or a whole
+  /// kConv (its image: each image is copied into the padded scratch
+  /// before its output image is written). A conv donates only when an
+  /// output image is exactly an input image's size, which depends on the
+  /// input shape; the executor and peak_live_bytes() both apply that rule
+  /// as "donor numel == output numel". No release lists, no donation.
+  std::vector<std::size_t> donor_slots() const;
+
+  /// Peak bytes of live activations over one forward of `batch` samples
+  /// of `sample_shape` (no batch axis): the caller's input, which stays
+  /// live throughout, plus every intermediate from the node that writes
+  /// it until its release list frees it. A donated output reuses its
+  /// donor's bytes; a partition group's slices are live together and
+  /// release after the whole group, as the executor runs them. A tiled
+  /// forward (kForwardTile) adds the tile's copy of its input and the
+  /// whole batch's output, and counts intermediates at the tile. Kernel
+  /// scratch is not counted.
+  std::size_t peak_live_bytes(const tensor::Shape& sample_shape,
+                              std::size_t batch) const;
+
   /// Per-node cost annotation for a batch-1 sample of the given shape
   /// (no batch axis): output shape, executed FLOPs, dense-equivalent
   /// FLOPs, and this node's share of the plan's total executed FLOPs.
@@ -234,8 +273,10 @@ struct Plan {
 
   /// Human-readable plan listing: one line per node with kind, config,
   /// nnz, and — when `sample_shape` is given — output shape, FLOPs and
-  /// cost share. Partitioned nodes show their row range and group.
-  std::string dump(const tensor::Shape* sample_shape = nullptr) const;
+  /// cost share, closed by the peak_live_bytes() line at `batch`.
+  /// Partitioned nodes show their row range and group.
+  std::string dump(const tensor::Shape* sample_shape = nullptr,
+                   std::size_t batch = 1) const;
 
   /// Structural invariants: producer ids precede consumers, arities match
   /// kinds, release lists (when present) reference valid ids. Throws

@@ -69,6 +69,14 @@ InferenceServer::InferenceServer(std::shared_ptr<const CompiledNet> net,
     batches_ctr_ = &config_.metrics->counter(
         "dstee_batches_total", config_.metrics_label,
         "Micro-batches executed");
+    forward_seconds_ctr_ = &config_.metrics->counter(
+        "dstee_forward_seconds_total", config_.metrics_label,
+        "Seconds workers spent in forward passes, summed over workers");
+    workers_gauge_ = &config_.metrics->gauge(
+        "dstee_workers", config_.metrics_label,
+        "Workers of the active shards pulling from the queue");
+    workers_gauge_->set(
+        static_cast<double>(config_.num_shards * config_.num_threads));
   }
   // Workers start only after every shard exists: a worker never observes a
   // half-built shards_ vector.
@@ -180,6 +188,9 @@ std::size_t InferenceServer::scale_to(std::size_t shards) {
   {
     util::MutexLock lock(mu_);
     active_shards_.store(target, std::memory_order_release);
+    if (workers_gauge_ != nullptr) {
+      workers_gauge_->set(static_cast<double>(target * config_.num_threads));
+    }
   }
   park_cv_.notify_all();  // grown shards start pulling
   return target;
@@ -256,6 +267,9 @@ void InferenceServer::worker_loop(std::size_t shard_index) {
       float* dst = x.raw() + i * sample_elems;
       const float* src = batch[i].input.raw();
       for (std::size_t j = 0; j < sample_elems; ++j) dst[j] = src[j];
+      // Copied into the batch: free the sample now rather than hold it
+      // through the forward, a second copy of the batch per worker.
+      batch[i].input = tensor::Tensor();
     }
     obs::trace().record(batch_tid, obs::SpanKind::kAssemble, "assemble",
                         assemble_ns, obs::now_ns() - assemble_ns, b);
@@ -282,8 +296,12 @@ void InferenceServer::worker_loop(std::size_t shard_index) {
         obs::ThreadTraceScope scope(batch_tid);
         y = net->forward(x);
       }
+      const std::int64_t fwd_dt = obs::now_ns() - fwd_ns;
       obs::trace().record(batch_tid, obs::SpanKind::kForward, "forward",
-                          fwd_ns, obs::now_ns() - fwd_ns, b);
+                          fwd_ns, fwd_dt, b);
+      if (forward_seconds_ctr_ != nullptr) {
+        forward_seconds_ctr_->add(static_cast<double>(fwd_dt) / 1e9);
+      }
       util::check(y.rank() >= 1 && y.dim(0) == b && y.numel() % b == 0,
                   "compiled forward returned a non-batched result");
       const std::size_t out = y.numel() / b;

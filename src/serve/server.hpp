@@ -11,6 +11,17 @@
 // `num_threads` workers. The workers of every active group pull from the
 // shared queue, so adding a group adds pullers, never splits a batch.
 //
+// WORKERS: by default one shard runs one worker per core of the runtime
+// budget (runtime::default_parallelism(), the budget the intra-op pool
+// uses), so a default server computes on every core. Each worker holds
+// one batch's activations, which the executor's last-use donation and
+// batch tiles keep to the plan's peak_live_bytes(). Configs with several
+// shards or models set `num_threads` so that shards × workers ×
+// intra-op chunks stays within the one budget. With `metrics` set the
+// server exports `dstee_workers` and `dstee_forward_seconds_total`, whose
+// ratio over a wall window is the workers' utilisation
+// (serve::worker_utilisation).
+//
 // WORK-CONSERVING PICKUP: an idle worker takes the head request plus the
 // run of equal-shape requests queued right behind it, up to `max_batch`,
 // at once — there is no batch window. At low load that is batch 1, so
@@ -47,9 +58,11 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "obs/clock.hpp"
+#include "runtime/pool.hpp"
 #include "serve/compiled_net.hpp"
 #include "serve/stats.hpp"
 #include "tensor/tensor.hpp"
@@ -59,14 +72,34 @@
 
 namespace dstee::obs {
 class Counter;
+class Gauge;
 class Histogram;
 class MetricsRegistry;
 }  // namespace dstee::obs
 
 namespace dstee::serve {
 
+/// The worker default of ServerConfig: the runtime budget,
+/// runtime::default_parallelism(). ServerConfig{} stays usable in
+/// constant expressions, where no environment can be read; there (and
+/// so in a constant-initialized static ServerConfig) this is the build
+/// host's logical core count, detected at configure time.
+constexpr std::size_t default_workers() {
+  if (std::is_constant_evaluated()) {
+#ifdef DSTEE_BUILD_HOST_CORES
+    return DSTEE_BUILD_HOST_CORES;
+#else
+    return 1;
+#endif
+  }
+  return runtime::default_parallelism();
+}
+
 struct ServerConfig {
-  std::size_t num_threads = 2;   ///< batch-executing threads PER shard
+  /// Batch-executing threads PER shard; defaults to the runtime budget
+  /// (default_workers()). Multi-shard and fleet configs set it (see
+  /// WORKERS above).
+  std::size_t num_threads = default_workers();
   std::size_t num_shards = 1;    ///< initially ACTIVE replica worker groups
   std::size_t max_batch = 16;    ///< most requests one forward takes
   std::size_t queue_capacity = 4096;  ///< per model; submit() blocks beyond
@@ -74,9 +107,11 @@ struct ServerConfig {
   std::size_t queue_quota = 0;   ///< try_submit() sheds beyond this; 0 =
                                  ///< shed only at queue_capacity
   /// When set, workers record per-request latency and queue wait, batch
-  /// sizes and request/batch counts into this registry (labeled
-  /// `metrics_label`), in addition to the internal ServerStats. Must
-  /// outlive the server.
+  /// sizes, request/batch counts and forward seconds into this registry
+  /// (labeled `metrics_label`), and the server keeps a `dstee_workers`
+  /// gauge of its active workers, in addition to the internal
+  /// ServerStats. Worker utilisation over a window is forward seconds ÷
+  /// (workers × wall). Must outlive the server.
   obs::MetricsRegistry* metrics = nullptr;
   std::string metrics_label;  ///< `model` label on exported metrics
 };
@@ -238,6 +273,8 @@ class InferenceServer {
   obs::Histogram* batch_size_hist_ = nullptr;
   obs::Counter* requests_ctr_ = nullptr;
   obs::Counter* batches_ctr_ = nullptr;
+  obs::Counter* forward_seconds_ctr_ = nullptr;
+  obs::Gauge* workers_gauge_ = nullptr;
 
   /// Serializes swap() publications so every shard observes versions in
   /// the same order (workers only ever load).

@@ -186,6 +186,15 @@ void export_stats_metrics(obs::MetricsRegistry& registry,
       "Hot-swap versions published");
 }
 
+double worker_utilisation(obs::MetricsRegistry& registry,
+                          const std::string& label, double wall_seconds) {
+  const double forward_s =
+      registry.counter("dstee_forward_seconds_total", label).value();
+  const double workers = registry.gauge("dstee_workers", label).value();
+  if (workers <= 0.0 || wall_seconds <= 0.0) return 0.0;
+  return forward_s / (workers * wall_seconds);
+}
+
 std::string StatsSnapshot::to_string() const {
   std::string out;
   out += "requests:        " + std::to_string(requests) + "\n";

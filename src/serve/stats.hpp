@@ -148,4 +148,12 @@ class ServerStats {
 void export_stats_metrics(obs::MetricsRegistry& registry,
                           const std::string& label, const StatsSnapshot& s);
 
+/// Worker utilisation of the server exporting under `label` (see
+/// ServerConfig::metrics) over a window of `wall_seconds`:
+/// dstee_forward_seconds_total ÷ (dstee_workers × wall). In [0, 1] when
+/// the window contains every forward and the worker count held; 0 when
+/// the server exported nothing.
+double worker_utilisation(obs::MetricsRegistry& registry,
+                          const std::string& label, double wall_seconds);
+
 }  // namespace dstee::serve

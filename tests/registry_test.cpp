@@ -281,6 +281,7 @@ TEST(Registry, AdmissionControlShedsBeyondQuota) {
 
 TEST(Registry, ScaleModelClampsAndKeepsServing) {
   serve::ModelOptions mopts;
+  mopts.server.num_threads = 2;
   mopts.server.num_shards = 1;
   mopts.server.max_shards = 3;
   serve::ModelRegistry registry;

@@ -26,6 +26,7 @@
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "optim/optimizer.hpp"
+#include "runtime/pool.hpp"
 #include "serve/compiled_net.hpp"
 #include "serve/stats.hpp"
 #include "serve/delta.hpp"
@@ -1092,6 +1093,43 @@ TEST(PartitionRows, ThresholdSkipsLightNodes) {
   EXPECT_TRUE(net.forward(x).equals(baseline.forward(x)));
 }
 
+TEST(Plan, PeakLiveBytesPinsResNet18StageOneAtTwoTensors) {
+  // ResNet-18 at the repo benchmark's shape under the default passes: in
+  // a stage-1 block the block input stays live for the shortcut while
+  // conv1 writes a second [N, 16, 32, 32] map; ReLU, conv2 and the add
+  // each write over the map they read last, so a forward peaks at two
+  // stage-1 maps plus its input. Without donation the ReLU/conv2/add
+  // outputs would make it three. A batch of 16 runs as two tiles of 8:
+  // the maps are a tile's, beside the tile's input copy and the whole
+  // batch's input and output.
+  testing::SparseResNet18 net = testing::bench_resnet18(1);
+  serve::Compiler compiler;
+  const serve::Plan plan = compiler.plan(*net.model, net.state.get());
+  const tensor::Shape sample({3, 32, 32});
+  const std::size_t map = 16 * 32 * 32 * sizeof(float);  // per sample
+  const std::size_t image = 3 * 32 * 32 * sizeof(float);
+  const std::size_t logits = 10 * sizeof(float);
+  ASSERT_EQ(serve::Plan::forward_tile(16), 8u);
+  EXPECT_EQ(plan.peak_live_bytes(sample, 8), 8 * (2 * map + image));
+  EXPECT_EQ(plan.peak_live_bytes(sample, 16),
+            8 * (2 * map + image) + 16 * (image + logits));
+  const std::string dump = plan.dump(&sample, 16);
+  EXPECT_NE(dump.find("peak live activations at batch 16: " +
+                      std::to_string(plan.peak_live_bytes(sample, 16)) +
+                      " bytes"),
+            std::string::npos)
+      << dump;
+
+  // Without release lists every value stays live: the sum of them all.
+  serve::Plan kept = plan;
+  kept.release_after.clear();
+  std::size_t all = 8 * image;
+  for (const auto& c : kept.annotate(sample)) {
+    all += c.out_shape.numel() * 8 * sizeof(float);
+  }
+  EXPECT_EQ(kept.peak_live_bytes(sample, 8), all);
+}
+
 TEST(Plan, DumpAnnotatesCostsAndPartitions) {
   CompiledHarness h(0.9, /*batch_norm=*/true);
   auto compiler = partition_compiler(2, tensor::Shape({12}));
@@ -1983,6 +2021,45 @@ TEST(Server, TraceSpansTileRequestLatencyExactly) {
   }
   EXPECT_GE(complete, 8u);
   EXPECT_GT(op_spans, 0u);  // executor recorded per-PlanOp spans
+}
+
+TEST(Server, DefaultWorkersAreTheRuntimeBudget) {
+  EXPECT_EQ(serve::ServerConfig{}.num_threads, runtime::default_parallelism());
+}
+
+TEST(Server, LoadedServerReportsUtilisationWithinOne) {
+  // Default workers under four closed-loop clients: the workers' summed
+  // forward seconds over (workers × a wall window spanning the server's
+  // whole life) is a utilisation in (0, 1].
+  const auto net = serve::CompiledNet::compile(
+      *testing::any_size_conv_net(3), nullptr);
+  obs::MetricsRegistry registry;
+  serve::ServerConfig cfg;
+  cfg.metrics = &registry;
+  cfg.metrics_label = "m0";
+  const std::int64_t t0 = obs::now_ns();
+  {
+    serve::InferenceServer server(net, cfg);
+    EXPECT_EQ(registry.gauge("dstee_workers", "m0").value(),
+              static_cast<double>(cfg.num_threads));
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < 4; ++c) {
+      clients.emplace_back([&server, c] {
+        for (std::uint64_t i = 0; i < 20; ++i) {
+          server.submit(random_tensor(tensor::Shape({3, 24, 24}), 40 * c + i))
+              .get();
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    server.shutdown();
+  }
+  const double wall_s = static_cast<double>(obs::now_ns() - t0) / 1e9;
+  EXPECT_GT(registry.counter("dstee_forward_seconds_total", "m0").value(),
+            0.0);
+  const double utilisation = serve::worker_utilisation(registry, "m0", wall_s);
+  EXPECT_GT(utilisation, 0.0);
+  EXPECT_LE(utilisation, 1.0);
 }
 
 TEST(Server, MetricsRegistryRecordsRequestsAndLatency) {

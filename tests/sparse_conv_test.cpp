@@ -4,7 +4,9 @@
 // tensor::im2col + spmm_cols_into lowering. Shapes cover every vector
 // width tail, strides 1–3 and kernel sizes 1/3/5; weights carry ±Inf, NaN
 // and −0.0 and inputs −0.0, so a padding tap that is skipped instead of
-// multiplied by 0.0f (Inf·0 = NaN) shows up as a mismatch.
+// multiplied by 0.0f (Inf·0 = NaN) shows up as a mismatch. The Executor
+// tests hold a bound plan's own execution rules to the same memcmp: an op
+// writing over a last-use operand, and a batch run as tiles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -418,6 +420,179 @@ TEST(SparseConv, BoundConvNetMatchesIm2colSpmmLayerByLayer) {
         EXPECT_TRUE(same_bits(exec.forward(x), values.back()))
             << be->name << (quantize ? " int8" : " fp32") << " ways "
             << ways;
+      }
+    }
+  }
+}
+
+/// Binds `plan` once as is and once without its release lists, which
+/// keeps every value live and so donates nothing, and checks that both
+/// answer every input with the same bits, at 1 and 2 intra-op chunks.
+void expect_donation_bit_identical(const serve::Plan& plan,
+                                   const std::vector<tensor::Tensor>& inputs,
+                                   const KernelBackend* be,
+                                   const std::string& what) {
+  serve::Plan kept = plan;
+  kept.release_after.clear();
+  const auto reference = serve::Executor::bind(std::move(kept), {}, be);
+  std::vector<tensor::Tensor> expected;
+  for (const tensor::Tensor& x : inputs) {
+    expected.push_back(reference.forward(x));
+  }
+  for (const std::size_t chunks : {1u, 2u}) {
+    runtime::IntraOp intra;
+    intra.threads = chunks;
+    serve::Plan donating = plan;
+    const auto exec = serve::Executor::bind(std::move(donating), intra, be);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      EXPECT_TRUE(same_bits(exec.forward(inputs[i]), expected[i]))
+          << what << " " << be->name << " batch " << inputs[i].dim(0)
+          << " intra-op " << chunks;
+    }
+  }
+}
+
+TEST(Executor, LastUseDonationIsBitIdentical) {
+  const std::size_t kNo = serve::Plan::kNoDonor;
+  // A stride-1 conv chain over 13×13 maps that offers every donation
+  // case: a conv whose input is also its residual (never donates), an
+  // activation and an add writing over a last-use operand, a conv taking
+  // its image's buffer, a stride-2 conv whose output is smaller (offered,
+  // declined at run time) and an add of one value to itself (never).
+  struct Node {
+    serve::PlanOpKind kind;
+    std::vector<std::size_t> inputs;
+    std::size_t cin = 0, cout = 0, k = 0, s = 1;
+    ActKind act = ActKind::kRelu;
+  };
+  const std::size_t in = serve::Plan::kInputId;
+  const auto conv = serve::PlanOpKind::kConv;
+  const auto act = serve::PlanOpKind::kActivation;
+  const auto add = serve::PlanOpKind::kAdd;
+  const std::vector<Node> nodes{
+      {conv, {in}, 3, 8, 3, 1},
+      {conv, {0, 0}, 8, 8, 3, 1, ActKind::kRelu},  // input == residual
+      {act, {1}, 0, 0, 0, 1, ActKind::kLeakyRelu},
+      {conv, {2}, 8, 8, 3, 1},
+      {add, {3, 2}},
+      {conv, {4}, 8, 8, 3, 1},
+      {conv, {5}, 8, 8, 3, 2},
+      {add, {6, 6}},
+      {act, {7}, 0, 0, 0, 1, ActKind::kSigmoid},
+  };
+  serve::Plan chain;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const Node& n = nodes[i];
+    serve::PlanOp op;
+    op.kind = n.kind;
+    op.inputs = n.inputs;
+    if (n.kind == conv) {
+      op.csr = std::make_shared<sparse::CsrMatrix>(
+          conv_weights(n.cout, n.cin * n.k * n.k, 90 + i, false));
+      op.in_channels = n.cin;
+      op.kernel = n.k;
+      op.stride = n.s;
+      op.padding = (n.k - 1) / 2;
+      op.bias = random_tensor(tensor::Shape({n.cout}), 100 + i);
+      op.has_bias = true;
+      op.epilogue.add_residual = n.inputs.size() == 2;
+      op.epilogue.has_act = n.inputs.size() == 2;
+      op.epilogue.act = n.act;
+    } else if (n.kind == act) {
+      op.act = n.act;
+      op.slope = 0.1f;
+    } else {
+      op.relu_after_add = true;
+    }
+    chain.ops.push_back(std::move(op));
+  }
+  serve::FreeAfterLastUse().run(chain);
+  EXPECT_EQ(chain.donor_slots(), (std::vector<std::size_t>{
+                                     kNo, kNo, 0, kNo, 0, 0, 0, kNo, 0}));
+  std::vector<tensor::Tensor> chain_inputs;
+  for (const std::size_t batch : {1u, 3u, 16u}) {
+    chain_inputs.push_back(
+        conv_input(tensor::Shape({batch, 3, 13, 13}), 110 + batch));
+  }
+
+  // ResNet-18 at the repo benchmark's shape, under the pipelines its
+  // probes bind: default passes, int8 weights, and partition-rows:2.
+  testing::SparseResNet18 net = testing::bench_resnet18(1);
+  std::vector<tensor::Tensor> resnet_inputs;
+  for (const std::size_t batch : {1u, 3u, 16u}) {
+    resnet_inputs.push_back(
+        random_tensor(tensor::Shape({batch, 3, 32, 32}), 120 + batch));
+  }
+  serve::CompileOptions copts;
+  copts.sample_shape = tensor::Shape({3, 32, 32});
+
+  for (const bool quantize : {false, true}) {
+    for (const bool partition : {false, true}) {
+      std::string spec = "elide-dropout,fold-bn";
+      if (quantize) spec += ",quantize:int8";
+      if (partition) spec += ",partition-rows:2";
+      spec += ",free-after-last-use";
+      serve::Compiler compiler(copts);
+      compiler.pipeline_from_spec(spec);
+      const serve::Plan resnet = compiler.plan(*net.model, net.state.get());
+      if (!partition) {
+        const std::vector<std::size_t> donors = resnet.donor_slots();
+        EXPECT_GT(std::count_if(donors.begin(), donors.end(),
+                                [&](std::size_t d) { return d != kNo; }),
+                  0)
+            << spec;
+      }
+
+      serve::Plan small = chain;
+      if (quantize) serve::QuantizeWeights().run(small);
+      if (partition) {
+        serve::PartitionRowsOptions popts;
+        popts.ways = 2;
+        popts.min_cost_share = 0.0;
+        serve::PartitionRows(popts).run(small);
+        ASSERT_GT(small.partitioned_ops, 0u);
+      }
+      serve::FreeAfterLastUse().run(small);
+
+      for (const KernelBackend* be : all_backends()) {
+        expect_donation_bit_identical(small, chain_inputs, be,
+                                      "conv chain " + spec);
+        expect_donation_bit_identical(resnet, resnet_inputs, be,
+                                      "resnet18 " + spec);
+      }
+    }
+  }
+}
+
+TEST(Executor, TiledForwardIsBitIdenticalToOneSampleAtATime) {
+  // Batches above Plan::kForwardTile run as equal tiles; every op
+  // computes each sample on its own, so each row of a tiled forward
+  // equals that sample forwarded alone.
+  EXPECT_EQ(serve::Plan::forward_tile(0), 0u);
+  EXPECT_EQ(serve::Plan::forward_tile(1), 1u);
+  EXPECT_EQ(serve::Plan::forward_tile(8), 8u);
+  EXPECT_EQ(serve::Plan::forward_tile(9), 5u);
+  EXPECT_EQ(serve::Plan::forward_tile(16), 8u);
+  EXPECT_EQ(serve::Plan::forward_tile(17), 6u);
+
+  testing::SparseResNet18 net = testing::bench_resnet18(2);
+  const serve::Plan plan = serve::Compiler().plan(*net.model, net.state.get());
+  for (const KernelBackend* be : all_backends()) {
+    serve::Plan copy = plan;
+    const auto exec = serve::Executor::bind(std::move(copy), {}, be);
+    for (const std::size_t batch : {9u, 16u}) {
+      const tensor::Tensor x =
+          random_tensor(tensor::Shape({batch, 3, 32, 32}), 130 + batch);
+      const tensor::Tensor y = exec.forward(x);
+      ASSERT_EQ(y.shape(), tensor::Shape({batch, 10}));
+      const std::size_t image = 3 * 32 * 32;
+      for (std::size_t n = 0; n < batch; ++n) {
+        tensor::Tensor one(tensor::Shape({1, 3, 32, 32}));
+        std::memcpy(one.raw(), x.raw() + n * image, image * sizeof(float));
+        const tensor::Tensor row = exec.forward(one);
+        EXPECT_EQ(0, std::memcmp(row.raw(), y.raw() + n * 10,
+                                 10 * sizeof(float)))
+            << be->name << " batch " << batch << " sample " << n;
       }
     }
   }

@@ -9,11 +9,13 @@
 #include <memory>
 #include <vector>
 
+#include "models/resnet.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/module.hpp"
 #include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
+#include "sparse/sparse_model.hpp"
 #include "tensor/init.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -44,6 +46,29 @@ inline std::unique_ptr<nn::Sequential> any_size_conv_net(std::uint64_t seed) {
   net->emplace<nn::ReLU>();
   net->emplace<nn::GlobalAvgPool>();
   net->set_training(false);
+  return net;
+}
+
+/// ResNet-18 at the repo benchmark's shape: width 0.25, 32×32 images, 10
+/// classes, a 90% ERK topology, eval mode. Stage 1 maps are
+/// [N, 16, 32, 32].
+struct SparseResNet18 {
+  std::unique_ptr<models::ResNet> model;
+  std::unique_ptr<sparse::SparseModel> state;
+};
+
+inline SparseResNet18 bench_resnet18(std::uint64_t seed) {
+  models::ResNetConfig cfg;
+  cfg.depth = 18;
+  cfg.image_size = 32;
+  cfg.num_classes = 10;
+  cfg.width_multiplier = 0.25;
+  util::Rng rng(seed);
+  SparseResNet18 net;
+  net.model = std::make_unique<models::ResNet>(cfg, rng);
+  net.state = std::make_unique<sparse::SparseModel>(
+      *net.model, 0.9, sparse::DistributionKind::kErk, rng);
+  net.model->set_training(false);
   return net;
 }
 

@@ -51,6 +51,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
+#include "runtime/pool.hpp"
 #include "models/mlp.hpp"
 #include "models/resnet.hpp"
 #include "models/vgg.hpp"
@@ -389,6 +390,7 @@ int run_registry(const util::ArgParser& args) {
   }
   fcv.notify_all();
   reaper.join();
+  const double wall_s = wall.seconds();
   // Drain + join workers BEFORE reading stats: a worker fulfills the
   // promises of its last batch before recording them, so counters can
   // lag the reaper by one batch until shutdown joins everything.
@@ -408,7 +410,12 @@ int run_registry(const util::ArgParser& args) {
               << util::format_fixed(s.latency_p50_ms, 3) << " ms, p99 "
               << util::format_fixed(s.latency_p99_ms, 3) << " ms, "
               << registry.num_active_shards(name) << " active shards, "
-              << s.swap_count << " swaps\n";
+              << s.swap_count << " swaps, "
+              << util::format_fixed(
+                     100.0 * serve::worker_utilisation(obs::metrics(), name,
+                                                       wall_s),
+                     1)
+              << "% worker utilisation\n";
   }
   if (swap_report) {
     std::cout << "hot swap m0: "
@@ -473,7 +480,11 @@ int run(int argc, const char* const* argv) {
       .add_flag("classes", "output classes (vgg/resnet)", "8")
       .add_flag("width", "width multiplier (vgg/resnet)", "0.1")
       .add_flag("sparsity", "topology sparsity when no checkpoint", "0.9")
-      .add_flag("threads", "server worker threads per shard", "2")
+      .add_flag("threads",
+                "server worker threads per shard (default: the runtime "
+                "budget, DSTEE_RUNTIME_THREADS or the core count); keep "
+                "shards x threads x intra-op within it",
+                std::to_string(runtime::default_parallelism()))
       .add_flag("shards",
                 "replica worker groups, all pulling from the model's one "
                 "queue",
@@ -650,7 +661,8 @@ int run(int argc, const char* const* argv) {
     // Inspection mode: print the active pipeline and the post-pass plan,
     // then stop before binding.
     std::cout << "pipeline: " << compiler.pipeline_spec() << "\n";
-    std::cout << plan.dump(&m.sample_shape);
+    std::cout << plan.dump(&m.sample_shape,
+                           static_cast<std::size_t>(args.get_int("max-batch")));
     std::cout << "PLAN OK\n";
     return 0;
   }
@@ -717,10 +729,10 @@ int run(int argc, const char* const* argv) {
   util::check(clients >= 1, "need at least one client");
   util::check(arrival_rate >= 0.0, "arrival rate must be non-negative");
 
-  if (!args.get_string("metrics-out").empty()) {
-    scfg.metrics = &obs::metrics();
-    scfg.metrics_label = args.get_string("model");
-  }
+  // Always wired: the worker utilisation line reads the forward-seconds
+  // counter and the workers gauge back from the registry.
+  scfg.metrics = &obs::metrics();
+  scfg.metrics_label = args.get_string("model");
   arm_trace_if_requested(args);
 
   serve::InferenceServer server(net, scfg);
@@ -847,6 +859,13 @@ int run(int argc, const char* const* argv) {
                      static_cast<double>(stats.requests) / wall_s, 1)
               << " req/s\n";
   }
+  std::cout << "worker utilisation: "
+            << util::format_fixed(
+                   100.0 * serve::worker_utilisation(
+                               obs::metrics(), scfg.metrics_label, wall_s),
+                   1)
+            << "% (forward seconds / (" << scfg.num_shards * scfg.num_threads
+            << " workers x wall))\n";
   if (server.num_shards() > 1) {
     std::cout << "\nper-shard (" << server.num_shards()
               << " replica groups sharing one queue):\n";
